@@ -9,8 +9,8 @@ from .atoms import (AtomFamily, AtomMeasure, VerificationFailure,
                     is_symmetric, measure, symmetrize, undirected_check)
 from .campaign import EnsembleSpec, random_digraph, run_campaign
 from .enumeration import (DEFAULT_CAP, EQUAL, STRICT, UNDEFINED, CapExceeded,
-                          InfeasibleLevel, MinForestSet, PhiSequence,
-                          all_minimal_forests, convexity_profile,
+                          InfeasibleLevel, InvariantError, MinForestSet,
+                          PhiSequence, all_minimal_forests, convexity_profile,
                           count_forests, enumerate_forests, is_strict_level,
                           minimal_forests, phi_sequence)
 from .graph import (INF, Digraph, Forest, InputError, Subgraph, TreePartition,

@@ -196,16 +196,14 @@ def cmd_verify(args) -> int:
         raise _CliError(EXIT_USAGE,
                         "verify needs an input file, --random or --self-test")
     graph = _load(args)
-    try:
-        report = verify(graph, upto_k=args.k, cap=args.cap, seed=args.seed)
-    except CapExceeded as exc:
-        raise _CliError(EXIT_CAP, str(exc)) from None
+    analysis = _analyze(graph, args)
+    report = verify(graph, upto_k=args.k, cap=args.cap, seed=args.seed,
+                    _analysis=analysis)
     statuses = {s: o.status for s, o in report.statements.items()}
     v, na, bad = _report_summary(statuses)
     _say(args, f"statements verified: {v}, not-applicable: {na}, "
                f"counterexamples: {bad}")
     if args.json:
-        analysis = _analyze(graph, args)
         hierarchy = build_hierarchy(analysis)
         doc = analysis_document(analysis, hierarchy,
                                 report=dict(report.to_dict(), seed=args.seed))
@@ -234,8 +232,8 @@ def _replay(args) -> int:
     report = None
     if "verification" in doc:
         seed = doc["verification"].get("seed", 0)
-        report = dict(verify(graph, cap=args.cap, seed=seed).to_dict(),
-                      seed=seed)
+        report = dict(verify(graph, cap=args.cap, seed=seed,
+                             _analysis=analysis).to_dict(), seed=seed)
     fresh = analysis_document(analysis, hierarchy if "hierarchy" in doc else None,
                               report=report)
     if dump_document(fresh) == dump_document(doc):

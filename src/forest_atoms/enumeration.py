@@ -1,18 +1,31 @@
-"""Exact enumeration of spanning entering forests.
+"""Exact search for spanning entering forests.
 
 Everything downstream (atoms, measures, hierarchy) needs the *complete*
-set of minimum-weight k-forests, which only exhaustive enumeration
-guarantees, so this module is deliberately brute force: depth-first
-over vertices, each choosing one available out-arc or "root", with
-incremental contour detection and root-count pruning.  The enumeration
-cap keeps desk-scale inputs honest about the cost.
+set of minimum-weight k-forests, ties included.  One depth-first core
+walks out-arc assignments vertex by vertex, each vertex choosing one
+available out-arc or "root", with incremental contour detection and
+root-count pruning; it serves three callers:
+
+* ``enumerate_forests`` and ``count_forests`` walk every forest;
+* ``minimal_forests`` and ``all_minimal_forests`` run one
+  branch-and-bound search per level k on integer-scaled weights.  A
+  branch is cut when its weight plus a lower bound on the arcs still to
+  come exceeds the best k-forest found so far.  The cut is strict, so
+  every forest that ties the optimum is still reached.
+
+Both walks visit forests in canonical order, so tie sets come out
+canonically ordered without sorting.  The enumeration cap keeps
+desk-scale inputs honest about the cost: the bounded search is fast on
+weighted graphs, but tie sets (and unit weights, where every forest of
+a level ties) grow exponentially with N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import INF, Digraph, Forest, Weight
 
@@ -21,6 +34,9 @@ DEFAULT_CAP = 14
 STRICT = "strict"
 EQUAL = "equal"
 UNDEFINED = "undefined"
+
+#: Per-vertex out-arcs as (head, integer weight), heads ascending.
+IntArcs = Sequence[Sequence[tuple[int, int]]]
 
 
 class CapExceeded(Exception):
@@ -42,22 +58,78 @@ class InfeasibleLevel(Exception):
         self.k = k
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug, never a property of the input.
+
+    Raised instead of ``assert`` so that the check survives ``python -O``.
+    """
+
+
 def _check_cap(graph: Digraph, cap: int) -> None:
     if graph.n > cap:
         raise CapExceeded(graph.n, cap)
 
 
-def _search(graph: Digraph, k: Optional[int],
-            visit: Callable[[list[Optional[int]], int, Fraction], None]) -> None:
+def _integer_arcs(graph: Digraph) -> tuple[int, IntArcs]:
+    """Out-lists with weights scaled to integers, and the scale.
+
+    The scale is the lcm of the weight denominators, so integer sums
+    divided by it are exactly the rational forest weights.
+    """
+    scale = math.lcm(*(w.denominator for w in graph.arcs.values()))
+    arcs = tuple(tuple((t, w.numerator * (scale // w.denominator))
+                       for t, w in row)
+                 for row in graph.out_lists)
+    return scale, arcs
+
+
+def _total_weight(arcs: IntArcs) -> int:
+    """Sum of |w| over all arcs: no forest weighs more."""
+    return sum(abs(w) for row in arcs for _, w in row)
+
+
+def _lower_bounds(arcs: IntArcs) -> list[list[int]]:
+    """``lower[v][m]``: least weight that m out-arcs of m distinct
+    vertices among v..N-1 can add.
+
+    It is the sum of the m smallest per-vertex minimum out-weights, which
+    bounds every completion from below whatever the signs of the
+    weights.  When fewer than m of those vertices have an out-arc the
+    entry is 2 * total + 1, more than any forest weight difference, so
+    the cut treats it as infinite while the arithmetic stays integral.
+    """
+    n = len(arcs)
+    unreachable = 2 * _total_weight(arcs) + 1
+    lower = []
+    for v in range(n + 1):
+        cheapest = sorted(min(w for _, w in row) for row in arcs[v:] if row)
+        sums = [0]
+        for w in cheapest:
+            sums.append(sums[-1] + w)
+        lower.append(sums + [unreachable] * (n - v - len(cheapest)))
+    return lower
+
+
+def _search(arcs: IntArcs, k: Optional[int],
+            visit: Callable[[list[Optional[int]], int, int], Optional[int]],
+            lower: Optional[list[list[int]]] = None) -> None:
     """DFS over out-arc assignments in canonical (lexicographic) order.
 
-    Visits every spanning forest exactly once, calling ``visit`` with
-    the out list, root count and weight.  Targets are tried in
-    ascending index order with "root" (None) last, which makes the
-    visit order lexicographic on (vertex, target-or-inf).
+    Calls ``visit`` with the out list, root count and integer weight of
+    each spanning forest (each k-forest when ``k`` is given).  Targets
+    are tried in ascending index order with "root" (None) last, which
+    makes the visit order lexicographic on (vertex, target-or-inf).
+
+    With ``lower`` (see ``_lower_bounds``; needs ``k``) the walk is a
+    branch-and-bound: ``visit`` returns the incumbent weight, and a
+    branch whose weight plus the bound on its remaining arcs exceeds the
+    incumbent is cut.  Branches that can still tie it are kept.
     """
-    n = graph.n
+    n = len(arcs)
     out: list[Optional[int]] = [None] * n
+    # no forest weighs more, so unreachable branches are cut even
+    # before the first forest is found
+    limit = _total_weight(arcs)
 
     def creates_contour(v: int, t: int) -> bool:
         # out[v] is still None here, so the walk below terminates
@@ -66,14 +138,20 @@ def _search(graph: Digraph, k: Optional[int],
             node = out[node]
         return node == v
 
-    def rec(v: int, roots: int, weight: Fraction) -> None:
+    def rec(v: int, roots: int, weight: int) -> None:
+        nonlocal limit
+        # the vertices v.. still owe n - v - (k - roots) out-arcs
+        if lower is not None and weight + lower[v][n - v - k + roots] > limit:
+            return
         if v == n:
             if k is None or roots == k:
-                visit(out, roots, weight)
+                incumbent = visit(out, roots, weight)
+                if lower is not None:
+                    limit = incumbent
             return
         remaining = n - v
         if k is None or roots <= k <= roots + remaining - 1:
-            for t, w in graph.out_lists[v]:
+            for t, w in arcs[v]:
                 if creates_contour(v, t):
                     continue
                 out[v] = t
@@ -83,7 +161,7 @@ def _search(graph: Digraph, k: Optional[int],
         if k is None or roots + 1 <= k <= roots + remaining:
             rec(v + 1, roots + 1, weight)
 
-    rec(0, 0, Fraction(0))
+    rec(0, 0, 0)
 
 
 def enumerate_forests(graph: Digraph, k: Optional[int] = None,
@@ -102,7 +180,7 @@ def enumerate_forests(graph: Digraph, k: Optional[int] = None,
     def visit(out, roots, weight):
         acc.append(Forest(graph, tuple(out)))
 
-    _search(graph, k, visit)
+    _search(_integer_arcs(graph)[1], k, visit)
     return iter(acc)
 
 
@@ -114,7 +192,7 @@ def count_forests(graph: Digraph, k: Optional[int] = None,
     def visit(out, roots, weight):
         counter[0] += 1
 
-    _search(graph, k, visit)
+    _search(_integer_arcs(graph)[1], k, visit)
     return counter[0]
 
 
@@ -127,7 +205,10 @@ class MinForestSet:
     forests: tuple[Forest, ...]
 
     def __post_init__(self):
-        assert (self.weight == INF) == (not self.forests)
+        if (self.weight == INF) != (not self.forests):
+            raise InvariantError(
+                f"level {self.k}: weight {self.weight} does not match "
+                f"{len(self.forests)} forests")
 
 
 @dataclass(frozen=True)
@@ -144,7 +225,9 @@ class PhiSequence:
         """Delta_k = phi^{k-1} - phi^k (inf minus finite is inf)."""
         prev, cur = self.values[k - 1], self.values[k]
         if prev == INF:
-            assert cur != INF, "gap undefined at an infeasible level"
+            if cur == INF:
+                raise InvariantError(
+                    f"gap undefined at infeasible level {k}")
             return INF
         return prev - cur
 
@@ -152,40 +235,42 @@ class PhiSequence:
         return 0 < k <= self.n and self.values[k] != INF
 
 
-def all_minimal_forests(graph: Digraph, cap: int = DEFAULT_CAP) -> dict[int, MinForestSet]:
-    """Minimum-weight tie sets for every k in one enumeration pass."""
-    _check_cap(graph, cap)
-    n = graph.n
-    best: list[Optional[Fraction]] = [None] * (n + 1)
-    argmin: list[list[tuple[Optional[int], ...]]] = [[] for _ in range(n + 1)]
-
-    def visit(out, roots, weight):
-        cur = best[roots]
-        if cur is None or weight < cur:
-            best[roots] = weight
-            argmin[roots] = [tuple(out)]
-        elif weight == cur:
-            argmin[roots].append(tuple(out))
-
-    _search(graph, None, visit)
+def _tie_sets(graph: Digraph, levels) -> dict[int, MinForestSet]:
+    """Branch-and-bound search for the tie set of each level in ``levels``."""
+    scale, arcs = _integer_arcs(graph)
+    lower = _lower_bounds(arcs)
     result = {}
-    for k in range(1, n + 1):
-        if best[k] is None:
-            result[k] = MinForestSet(k, INF, ())
-        else:
-            forests = tuple(Forest(graph, o) for o in sorted(argmin[k], key=_sort_key))
-            result[k] = MinForestSet(k, best[k], forests)
+    for k in levels:
+        best: Optional[int] = None
+        ties: list[tuple[Optional[int], ...]] = []
+
+        def visit(out, roots, weight):
+            nonlocal best, ties
+            if best is None or weight < best:
+                best, ties = weight, [tuple(out)]
+            elif weight == best:
+                ties.append(tuple(out))
+            return best
+
+        _search(arcs, k, visit, lower)
+        result[k] = (MinForestSet(k, INF, ()) if best is None else
+                     MinForestSet(k, Fraction(best, scale),
+                                  tuple(Forest(graph, o) for o in ties)))
     return result
 
 
-def _sort_key(out: tuple[Optional[int], ...]):
-    return tuple(len(out) if t is None else t for t in out)
+def all_minimal_forests(graph: Digraph, cap: int = DEFAULT_CAP) -> dict[int, MinForestSet]:
+    """Minimum-weight tie sets for every k, one bounded search per level."""
+    _check_cap(graph, cap)
+    return _tie_sets(graph, range(1, graph.n + 1))
 
 
 def minimal_forests(graph: Digraph, k: int, cap: int = DEFAULT_CAP) -> MinForestSet:
+    """The level-k tie set, searching level k only."""
     if not 1 <= k <= graph.n:
         raise ValueError(f"component count {k} outside 1..{graph.n}")
-    return all_minimal_forests(graph, cap)[k]
+    _check_cap(graph, cap)
+    return _tie_sets(graph, [k])[k]
 
 
 def phi_sequence(graph: Digraph, cap: int = DEFAULT_CAP) -> PhiSequence:
@@ -195,7 +280,9 @@ def phi_sequence(graph: Digraph, cap: int = DEFAULT_CAP) -> PhiSequence:
     for k in range(1, graph.n + 1):
         values.append(sets[k].weight)
     phi = PhiSequence(tuple(values))
-    assert phi.values[graph.n] == 0
+    if phi.values[graph.n] != 0:
+        raise InvariantError(
+            f"phi^N = {phi.values[graph.n]}, but the empty forest weighs 0")
     return phi
 
 
@@ -210,12 +297,17 @@ def convexity_profile(phi: PhiSequence) -> tuple[str, ...]:
     for k in range(1, phi.n):
         prev, cur, nxt = phi.values[k - 1], phi.values[k], phi.values[k + 1]
         if cur == INF:
-            assert prev == INF, "phi must be non-increasing"
+            if prev != INF:
+                raise InvariantError(
+                    f"phi must be non-increasing: phi^{k - 1} = {prev}, "
+                    f"phi^{k} = inf")
             markers.append(UNDEFINED)
             continue
         lhs = INF if prev == INF else prev - cur
         rhs = cur - nxt  # nxt is finite whenever cur is
-        assert lhs >= rhs, "convexity violated: implementation bug"
+        if lhs < rhs:
+            raise InvariantError(
+                f"convexity violated at k = {k}: {lhs} < {rhs}")
         markers.append(STRICT if lhs > rhs else EQUAL)
     return tuple(markers)
 

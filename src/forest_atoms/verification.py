@@ -16,7 +16,7 @@ Statement ids:
   T1..T7   theorems (T5 is the main restriction-is-a-tree theorem)
   Cor1     no double arc between two atoms
   Prop1    equality-case reduction       Prop2  detach construction
-  ENUM     enumerator completeness vs independent product count
+  ENUM     forest counts and tie sets vs an independent product walk
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .analysis import Analysis
 from .atoms import (AtomFamily, VerificationFailure, algebra_elements,
                     detach_incoming, find_shielded_forest)
 from .enumeration import DEFAULT_CAP, EQUAL, MinForestSet
-from .graph import (Digraph, Forest, InputError, components, in_neighborhood,
-                    is_forest, out_neighborhood, quotient, quotient_non_reaching,
-                    quotient_reaches, replace_arcs, restrict, subtree,
-                    tree_partition, upsilon)
+from .graph import (INF, Digraph, Forest, InputError, Weight, components,
+                    in_neighborhood, is_forest, out_neighborhood, quotient,
+                    quotient_non_reaching, quotient_reaches, replace_arcs,
+                    restrict, subtree, tree_partition, upsilon)
 
 STATEMENTS = (
     ["L%d" % i for i in range(1, 8)]
@@ -120,11 +120,12 @@ class _Battery:
         self.pool = self._build_pool(max_pool)
         self.all_forests: Optional[list[Forest]] = None
         if self.graph.n <= exhaustive_limit:
-            from .enumeration import count_forests, enumerate_forests
-            # materialize only when the full forest list stays small
-            if count_forests(self.graph, cap=self.an.cap) <= enum_budget:
-                self.all_forests = list(
-                    enumerate_forests(self.graph, cap=self.an.cap))
+            from .enumeration import enumerate_forests
+            # exhaustive_limit caps N, so the list stays bounded; it is
+            # kept only when it is small enough to scan
+            forests = list(enumerate_forests(self.graph, cap=self.an.cap))
+            if len(forests) <= enum_budget:
+                self.all_forests = forests
         self.enum_budget = enum_budget
 
     # -- bookkeeping -------------------------------------------------
@@ -790,23 +791,43 @@ class _Battery:
     # -- enumerator completeness --------------------------------------
 
     def run_enum_check(self) -> None:
+        """ENUM: forest counts per level and every level's minimum weight
+        and tie set, against a plain walk of all out-arc assignments."""
+        n = self.graph.n
         size = 1
-        for v in range(self.graph.n):
+        for v in range(n):
             size *= len(self.graph.out_lists[v]) + 1
             if size > self.enum_budget:
                 return
-        counts = [0] * (self.graph.n + 1)
+        counts = [0] * (n + 1)
+        best: list[Weight] = [INF] * (n + 1)
+        ties: list[list[tuple]] = [[] for _ in range(n + 1)]
         choice_lists = [[t for t, _ in self.graph.out_lists[v]] + [None]
-                        for v in range(self.graph.n)]
+                        for v in range(n)]
+        # product order is the canonical forest order, so ties[k] is
+        # already in the order a tie set must have
         for out in itertools.product(*choice_lists):
             if is_forest(out, self.graph):
-                counts[sum(1 for t in out if t is None)] += 1
+                k = out.count(None)
+                counts[k] += 1
+                w = sum((self.graph.arcs[v, t] for v, t in enumerate(out)
+                         if t is not None), Fraction(0))
+                if w < best[k]:
+                    best[k], ties[k] = w, [out]
+                elif w == best[k]:
+                    ties[k].append(out)
         from .enumeration import count_forests
-        for k in range(1, self.graph.n + 1):
+        for k in range(1, n + 1):
             got = count_forests(self.graph, k, cap=self.an.cap)
-            self.check("ENUM", got == counts[k],
-                       lambda: {"k": k, "enumerated": got,
-                                "independent": counts[k]})
+            tilde = self.tilde(k)
+            ok = (got == counts[k] and tilde.weight == best[k]
+                  and [F.out for F in tilde.forests] == ties[k])
+            self.check("ENUM", ok, lambda: {
+                "k": k, "enumerated": got, "independent": counts[k],
+                "phi": str(tilde.weight), "independent_phi": str(best[k]),
+                "forests": [_forest_dict(F) for F in tilde.forests],
+                "independent_forests": [_forest_dict(Forest(self.graph, o))
+                                        for o in ties[k]]})
 
     # -----------------------------------------------------------------
 

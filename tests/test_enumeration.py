@@ -5,15 +5,20 @@ networkx for acyclicity, sharing no code with the DFS enumerator.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forest_atoms import (INF, CapExceeded, Digraph, Forest,
-                          all_minimal_forests, convexity_profile,
-                          count_forests, enumerate_forests, is_strict_level,
-                          minimal_forests, phi_sequence)
+from forest_atoms import (INF, CapExceeded, Digraph, Forest, InvariantError,
+                          MinForestSet, PhiSequence, all_minimal_forests,
+                          convexity_profile, count_forests, enumerate_forests,
+                          is_strict_level, minimal_forests, phi_sequence)
 from tests.conftest import random_graph
 
 
@@ -47,9 +52,7 @@ def brute_force(graph):
     return best
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_minimal_sets_match_brute_force(seed):
-    g = random_graph(seed, n_max=5)
+def assert_matches_brute_force(g):
     oracle = brute_force(g)
     mine = all_minimal_forests(g)
     for k in range(1, g.n + 1):
@@ -59,6 +62,51 @@ def test_minimal_sets_match_brute_force(seed):
         else:
             assert got.weight == oracle[k][0]
             assert {F.out for F in got.forests} == oracle[k][1]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_minimal_sets_match_brute_force(seed):
+    assert_matches_brute_force(random_graph(seed, n_max=5))
+
+
+@st.composite
+def signed_graphs(draw):
+    """N <= 5, at most 9 arcs (so the arc-subset oracle stays small),
+    weights zero, negative or fractional; many vertices get no out-arc."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=9)) if pairs else []
+    weights = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    arcs = {p: draw(weights) for p in chosen}
+    return Digraph(names=tuple(f"v{i}" for i in range(n)), arcs=arcs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_graphs())
+def test_minimal_sets_match_brute_force_signed(g):
+    assert_matches_brute_force(g)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_single_level_matches_all_levels(seed):
+    g = random_graph(seed + 300, n_max=6, wmax=2)
+    every = all_minimal_forests(g)
+    for k in range(1, g.n + 1):
+        one = minimal_forests(g, k)
+        assert one.weight == every[k].weight
+        assert [F.out for F in one.forests] == [F.out for F in every[k].forests]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tie_sets_in_canonical_order(seed):
+    # unit-ish weights make large tie sets
+    g = random_graph(seed + 400, n_max=6, wmax=2)
+    key = lambda out: tuple(g.n if t is None else t for t in out)
+    for tilde in all_minimal_forests(g).values():
+        outs = [F.out for F in tilde.forests]
+        assert outs == sorted(outs, key=key)
+        assert len(set(outs)) == len(outs)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -111,8 +159,35 @@ def test_gap_arithmetic(an_ato, an_woody):
     assert an_ato.phi.gap(1) == INF
     assert an_ato.phi.gap(2) == 4
     assert an_woody.phi.gap(2) == INF
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         an_woody.phi.gap(1)  # inf - inf is undefined
+
+
+def test_invariant_errors(g_ato, an_ato):
+    F = an_ato.minimal[1].forests[0]
+    with pytest.raises(InvariantError):
+        MinForestSet(1, INF, (F,))
+    with pytest.raises(InvariantError):
+        MinForestSet(1, Fraction(7), ())
+    with pytest.raises(InvariantError):
+        convexity_profile(PhiSequence((INF, 5, 4, 0)))  # 5 - 4 < 4 - 0
+    with pytest.raises(InvariantError):
+        convexity_profile(PhiSequence((INF, 3, INF, 0)))  # rises to inf
+
+
+def test_invariants_survive_optimize_flag():
+    code = ("from forest_atoms import INF, InvariantError, PhiSequence\n"
+            "try:\n"
+            "    PhiSequence((INF, INF, 0)).gap(1)\n"
+            "except InvariantError:\n"
+            "    print('raised')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "raised"
 
 
 def test_strictness(an_ato, an_woody):

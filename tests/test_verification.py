@@ -77,6 +77,8 @@ def test_corrupted_oracle_every_level(g_woody):
     for level in [2, 3, 5]:
         report = corrupted_verify(g_woody, level=level)
         assert not report.ok, f"corruption at k={level} went undetected"
+        # the product oracle sees the intruder in the tie set directly
+        assert report.statements["ENUM"].status == COUNTEREXAMPLE
 
 
 def test_report_serialization(g_ato):
