@@ -19,10 +19,11 @@ from .graph import Digraph
 from .io import SCHEMA_VERSION, dump_document, graph_json
 from .verification import verify
 
-#: Battery sampling budgets used by campaigns (speed over exhaustiveness;
-#: the complete tie sets are still enumerated exactly on every trial).
-CAMPAIGN_BUDGETS = dict(max_pool=8, max_subsets=12, exhaustive_limit=6,
-                        enum_budget=20000)
+#: Battery sampling budgets used by campaigns: smaller forest pools and
+#: subset samples than ``verify``'s defaults, and ENUM's product walk only
+#: up to 20000 out-arc assignments.  The complete tie sets are still
+#: searched exactly on every trial, and P14 is exhaustive at every N.
+CAMPAIGN_BUDGETS = dict(max_pool=8, max_subsets=12, enum_budget=20000)
 
 
 @dataclass(frozen=True)

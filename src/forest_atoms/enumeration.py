@@ -112,7 +112,8 @@ def _lower_bounds(arcs: IntArcs) -> list[list[int]]:
 
 def _search(arcs: IntArcs, k: Optional[int],
             visit: Callable[[list[Optional[int]], int, int], Optional[int]],
-            lower: Optional[list[list[int]]] = None) -> None:
+            lower: Optional[list[list[int]]] = None,
+            incumbent: Optional[int] = None) -> None:
     """DFS over out-arc assignments in canonical (lexicographic) order.
 
     Calls ``visit`` with the out list, root count and integer weight of
@@ -123,13 +124,15 @@ def _search(arcs: IntArcs, k: Optional[int],
     With ``lower`` (see ``_lower_bounds``; needs ``k``) the walk is a
     branch-and-bound: ``visit`` returns the incumbent weight, and a
     branch whose weight plus the bound on its remaining arcs exceeds the
-    incumbent is cut.  Branches that can still tie it are kept.
+    incumbent is cut.  Branches that can still tie it are kept.  A
+    starting ``incumbent`` makes the cut hold from the first node; it
+    must not exceed the total weight, or unreachable branches survive.
     """
     n = len(arcs)
     out: list[Optional[int]] = [None] * n
     # no forest weighs more, so unreachable branches are cut even
     # before the first forest is found
-    limit = _total_weight(arcs)
+    limit = _total_weight(arcs) if incumbent is None else incumbent
 
     def creates_contour(v: int, t: int) -> bool:
         # out[v] is still None here, so the walk below terminates
@@ -145,9 +148,9 @@ def _search(arcs: IntArcs, k: Optional[int],
             return
         if v == n:
             if k is None or roots == k:
-                incumbent = visit(out, roots, weight)
+                best = visit(out, roots, weight)
                 if lower is not None:
-                    limit = incumbent
+                    limit = best
             return
         remaining = n - v
         if k is None or roots <= k <= roots + remaining - 1:

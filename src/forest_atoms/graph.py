@@ -216,21 +216,25 @@ class Forest:
 
 
 def _acyclic(out: Sequence[Optional[int]]) -> bool:
-    # 0 unvisited / 1 on current walk / 2 done
-    color = [0] * len(out)
+    """True iff the dense index out-map has no contour.
+
+    The fast path for out-maps whose arcs are known to exist, such as
+    ``replace_arcs`` of two forests of one graph or choices taken from
+    ``Digraph.out_lists``; ``is_forest`` validates first, then calls it.
+    """
+    # walk from each unvisited vertex, stamping the walk with its start;
+    # meeting the current stamp again closes a contour
+    stamp = [0] * len(out)
     for s in range(len(out)):
-        if color[s]:
+        if stamp[s]:
             continue
+        mark = s + 1
         v = s
-        walk = []
-        while v is not None and color[v] == 0:
-            color[v] = 1
-            walk.append(v)
+        while v is not None and not stamp[v]:
+            stamp[v] = mark
             v = out[v]
-        if v is not None and color[v] == 1:
+        if v is not None and stamp[v] == mark:
             return False
-        for w in walk:
-            color[w] = 2
     return True
 
 

@@ -22,19 +22,23 @@ Statement ids:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .analysis import Analysis
-from .atoms import (AtomFamily, VerificationFailure, algebra_elements,
-                    detach_incoming, find_shielded_forest)
-from .enumeration import DEFAULT_CAP, EQUAL, MinForestSet
-from .graph import (INF, Digraph, Forest, InputError, Weight, components,
-                    in_neighborhood, is_forest, out_neighborhood, quotient,
-                    quotient_non_reaching, quotient_reaches, replace_arcs,
-                    restrict, subtree, tree_partition, upsilon)
+from .atoms import (AtomFamily, VerificationFailure, algebra_contains,
+                    algebra_elements, detach_incoming, find_shielded_forest)
+from .enumeration import (DEFAULT_CAP, EQUAL, IntArcs, MinForestSet,
+                          _integer_arcs, _lower_bounds, _search,
+                          enumerate_forests)
+from .graph import (INF, Digraph, Forest, InputError, Weight, _acyclic,
+                    components, find_non_reaching, in_neighborhood,
+                    out_neighborhood, quotient, quotient_non_reaching,
+                    quotient_reaches, replace_arcs, restrict, rewrite_guard,
+                    subtree, tree_partition, upsilon)
 
 STATEMENTS = (
     ["L%d" % i for i in range(1, 8)]
@@ -100,15 +104,48 @@ def _forest_dict(F: Forest) -> list[list[str]]:
     return sorted([a, b] for a, b in F.arc_names())
 
 
+def _atom_assignments(arcs: IntArcs, atom: frozenset[int], labeled: bool,
+                      limit: int) -> list[tuple[int, tuple[Optional[int], ...]]]:
+    """Out-arc assignments of an atom's vertices of integer weight at
+    most ``limit``, as (weight, heads), heads in ascending vertex order.
+
+    An assignment gives |atom| - 1 vertices an out-arc when the atom is
+    labeled and all |atom| when it is not, with no contour inside the
+    atom.  These are exactly the restrictions of spanning forests to the
+    atom: making every outside vertex a root extends one to a forest.
+    The forest search runs on a small instance, the atom's vertices plus
+    one arc-less sink per distinct head outside the atom, with the sinks
+    (and, when labeled, one atom vertex) as its roots.  Its bound starts
+    at ``limit``, so every assignment at or below it is reached and
+    nothing above it is walked.
+    """
+    order = sorted(atom)
+    outside = sorted({t for v in order for t, _ in arcs[v] if t not in atom})
+    real = order + outside
+    node = {v: i for i, v in enumerate(real)}
+    instance = ([tuple((node[t], w) for t, w in arcs[v]) for v in order]
+                + [()] * len(outside))
+    found = []
+
+    def visit(out, roots, weight):
+        found.append((weight, tuple(None if t is None else real[t]
+                                    for t in out[:len(order)])))
+        return limit
+
+    _search(instance, len(outside) + (1 if labeled else 0), visit,
+            _lower_bounds(instance), incumbent=limit)
+    return found
+
+
 class _Battery:
     """Runs every statement check against one analyzed graph."""
 
     def __init__(self, analysis: Analysis, rng: random.Random,
-                 max_pool: int, max_subsets: int, exhaustive_limit: int,
-                 enum_budget: int, upto_k: Optional[int] = None,
-                 max_tie: int = 10):
+                 max_pool: int, max_subsets: int, enum_budget: int,
+                 upto_k: Optional[int] = None, max_tie: int = 10):
         self.an = analysis
         self.graph = analysis.graph
+        self.scale, self.arcs = _integer_arcs(self.graph)
         self.rng = rng
         self.max_subsets = max_subsets
         self.upto_k = upto_k
@@ -118,14 +155,6 @@ class _Battery:
         self._realized_outs: dict[tuple, set] = {}
         self.outcomes = {s: Outcome() for s in STATEMENTS}
         self.pool = self._build_pool(max_pool)
-        self.all_forests: Optional[list[Forest]] = None
-        if self.graph.n <= exhaustive_limit:
-            from .enumeration import enumerate_forests
-            # exhaustive_limit caps N, so the list stays bounded; it is
-            # kept only when it is small enough to scan
-            forests = list(enumerate_forests(self.graph, cap=self.an.cap))
-            if len(forests) <= enum_budget:
-                self.all_forests = forests
         self.enum_budget = enum_budget
 
     # -- bookkeeping -------------------------------------------------
@@ -169,7 +198,7 @@ class _Battery:
                 choices: list[Optional[int]] = [t for t, _ in self.graph.out_lists[v]]
                 choices.append(None)
                 out.append(self.rng.choice(choices))
-            if is_forest(out, self.graph):
+            if _acyclic(out):
                 F = Forest(self.graph, tuple(out))
                 pool[F.out] = F
         return list(pool.values())
@@ -251,7 +280,6 @@ class _Battery:
                 valid = [b for b in sorted(B)
                          if not any(F.reaches(b, o) for o in B if o != b)]
                 try:
-                    from .graph import find_non_reaching
                     beta = find_non_reaching(F, B)
                 except AssertionError:
                     pass
@@ -330,9 +358,8 @@ class _Battery:
         for fi, gi in pairs[:20]:
             F, G = self.pool[fi], self.pool[gi]
             for D in self._sample_subsets(self.graph.vertex_set, limit=10):
-                from .graph import rewrite_guard
                 if rewrite_guard(F, G, D):
-                    ok = is_forest(replace_arcs(F, G, D), self.graph)
+                    ok = _acyclic(replace_arcs(F, G, D))
                     self.check("L1", ok, lambda: {
                         "F": _forest_dict(F), "G": _forest_dict(G),
                         "D": _names(self.graph, D)})
@@ -344,8 +371,8 @@ class _Battery:
         comps_g = components(G)
 
         def both_forests(D: frozenset[int]) -> bool:
-            return (is_forest(replace_arcs(F, G, D), self.graph)
-                    and is_forest(replace_arcs(G, F, D), self.graph))
+            return (_acyclic(replace_arcs(F, G, D))
+                    and _acyclic(replace_arcs(G, F, D)))
 
         def case(tag: str, D: frozenset[int]) -> None:
             self.check("P1", both_forests(D), lambda: {
@@ -382,8 +409,7 @@ class _Battery:
                                 self.graph.vertex_set, limit=8):
                             p_out = replace_arcs(F, G, D)
                             q_out = replace_arcs(G, F, D)
-                            if not (is_forest(p_out, self.graph)
-                                    and is_forest(q_out, self.graph)):
+                            if not (_acyclic(p_out) and _acyclic(q_out)):
                                 continue
                             rF = len(F.roots & D)
                             rG = len(G.roots & D)
@@ -420,7 +446,6 @@ class _Battery:
         for k in levels:
             if k + 1 in levels:
                 for atom in self.fam(k).atoms:
-                    from .atoms import algebra_contains
                     self.check("P4", algebra_contains(self.fam(k + 1), atom),
                                lambda: {"k": k, "atom": _names(self.graph, atom)})
         self._property5()
@@ -491,8 +516,10 @@ class _Battery:
                     except VerificationFailure as vf:
                         self.failed("P9", vf.witness)
                         continue
-                    self.passed("P9")
-                    assert not in_neighborhood(H, E)
+                    # the forest found must really shield E
+                    self.check("P9", not in_neighborhood(H, E), lambda: {
+                        "k": k, "atom": _names(self.graph, E),
+                        "F": _forest_dict(F), "shield": _forest_dict(H)})
             table = [tuple(upsilon(F, a) for a in fam.atoms)
                      for F in self.tsample(k)]
             self.check("P10", all(row == table[0] for row in table),
@@ -520,7 +547,7 @@ class _Battery:
             for G in self.tsample(k):
                 for A in elements:
                     out = replace_arcs(F, G, A)
-                    if is_forest(out, self.graph):
+                    if _acyclic(out):
                         self.check("P12", self._in_tilde(out, k), lambda: {
                             "k": k, "F": _forest_dict(F), "G": _forest_dict(G),
                             "A": _names(self.graph, A)})
@@ -529,50 +556,44 @@ class _Battery:
                     continue
                 for G in self.tsample(k):
                     out = replace_arcs(F, G, A)
-                    ok = is_forest(out, self.graph) and self._in_tilde(out, k)
+                    ok = _acyclic(out) and self._in_tilde(out, k)
                     self.check("P13", ok, lambda: {
                         "k": k, "F": _forest_dict(F), "G": _forest_dict(G),
                         "A": _names(self.graph, A)})
 
     def _lower_bounds(self, k: int, fam: AtomFamily, tilde: MinForestSet,
                       rho) -> None:
-        """P14: weight lower bounds over arbitrary spanning forests
-        (exhaustive when the graph is small enough, else the pool)."""
-        candidates = self.all_forests if self.all_forests is not None else self.pool
+        """P14: over arbitrary spanning forests, the out-weight of an atom
+        with |atom| - 1 out-arcs (labeled) or |atom| out-arcs (unlabeled)
+        is at least rho[atom], and a forest meeting it restricts to an
+        arc pattern that a minimal forest realizes.
+
+        Exhaustive at every N: ``_atom_assignments`` reaches each
+        restriction of a forest to the atom with weight at most rho, and
+        each one reached is a check.  Patterns are the arcs inside a
+        labeled atom and the full head tuple of an unlabeled one.
+        """
         for ai, (atom, lab) in enumerate(zip(fam.atoms, fam.labeled)):
             order = sorted(atom)
-            # arc patterns on the atom realized by minimal forests, built
-            # once so tightness lookups stay O(1) per candidate
-            if lab:
-                realized = {frozenset((v, H.out[v]) for v in order
-                                      if H.out[v] is not None
-                                      and H.out[v] in atom)
-                            for H in tilde.forests}
-            else:
-                realized = {tuple(H.out[v] for v in order)
-                            for H in tilde.forests}
-            for F in candidates:
-                outgoing = sum(1 for v in atom if F.out[v] is not None)
+
+            def pattern(heads):
                 if lab:
-                    if outgoing != len(atom) - 1:
-                        continue
-                    bound_ok = upsilon(F, atom) >= rho[ai]
-                    tight_ok = True
-                    if upsilon(F, atom) == rho[ai]:
-                        want = frozenset((v, F.out[v]) for v in order
-                                         if F.out[v] is not None
-                                         and F.out[v] in atom)
-                        tight_ok = want in realized
-                else:
-                    if outgoing != len(atom):
-                        continue
-                    bound_ok = upsilon(F, atom) >= rho[ai]
-                    tight_ok = True
-                    if upsilon(F, atom) == rho[ai]:
-                        tight_ok = tuple(F.out[v] for v in order) in realized
-                self.check("P14", bound_ok and tight_ok, lambda: {
-                    "k": k, "atom": _names(self.graph, atom),
-                    "labeled": lab, "forest": _forest_dict(F)})
+                    return frozenset((v, t) for v, t in zip(order, heads)
+                                     if t in atom)
+                return heads
+
+            realized = {pattern(tuple(H.out[v] for v in order))
+                        for H in tilde.forests}
+            limit = int(rho[ai] * self.scale)
+            for weight, heads in _atom_assignments(self.arcs, atom, lab, limit):
+                # the witness forest: these arcs, every other vertex a root
+                self.check("P14", weight == limit and pattern(heads) in realized,
+                           lambda: {"k": k, "atom": _names(self.graph, atom),
+                                    "labeled": lab,
+                                    "forest": sorted(
+                                        [self.graph.names[v], self.graph.names[t]]
+                                        for v, t in zip(order, heads)
+                                        if t is not None)})
 
     # -- arc structure of unlabeled atoms: L3, L4, Cor1, T2 -----------
 
@@ -749,9 +770,9 @@ class _Battery:
         kf = min(levels)
         if kf <= 1:
             return  # a spanning tree exists; the unweighted theorem is void
-        from .enumeration import enumerate_forests
+        # every kf-forest weighs N - kf, so the tie set holds them all
         fam = self.fam(kf)
-        for F in enumerate_forests(self.graph, kf, cap=self.an.cap):
+        for F in self.tilde(kf).forests:
             for atom in fam.atoms:
                 self.check("T7", restrict(F, atom).is_tree(), lambda: {
                     "k": kf, "atom": _names(self.graph, atom),
@@ -792,13 +813,26 @@ class _Battery:
 
     def run_enum_check(self) -> None:
         """ENUM: forest counts per level and every level's minimum weight
-        and tie set, against a plain walk of all out-arc assignments."""
+        and tie set, against a plain walk of all out-arc assignments.
+
+        One unbounded forest search tallies the counts of every level; the
+        walk shares no code with it and sums integer weights on its own
+        scale.
+        """
         n = self.graph.n
         size = 1
         for v in range(n):
             size *= len(self.graph.out_lists[v]) + 1
             if size > self.enum_budget:
                 return
+        enumerated = [0] * (n + 1)
+
+        def tally(out, roots, weight):
+            enumerated[roots] += 1
+
+        _search(self.arcs, None, tally)
+        scale = math.lcm(*(w.denominator for w in self.graph.arcs.values()))
+        weights = {a: int(w * scale) for a, w in self.graph.arcs.items()}
         counts = [0] * (n + 1)
         best: list[Weight] = [INF] * (n + 1)
         ties: list[list[tuple]] = [[] for _ in range(n + 1)]
@@ -807,24 +841,23 @@ class _Battery:
         # product order is the canonical forest order, so ties[k] is
         # already in the order a tie set must have
         for out in itertools.product(*choice_lists):
-            if is_forest(out, self.graph):
+            if _acyclic(out):
                 k = out.count(None)
                 counts[k] += 1
-                w = sum((self.graph.arcs[v, t] for v, t in enumerate(out)
-                         if t is not None), Fraction(0))
+                w = sum(weights[v, t] for v, t in enumerate(out)
+                        if t is not None)
                 if w < best[k]:
                     best[k], ties[k] = w, [out]
                 elif w == best[k]:
                     ties[k].append(out)
-        from .enumeration import count_forests
         for k in range(1, n + 1):
-            got = count_forests(self.graph, k, cap=self.an.cap)
             tilde = self.tilde(k)
-            ok = (got == counts[k] and tilde.weight == best[k]
+            phi = INF if best[k] == INF else Fraction(best[k], scale)
+            ok = (enumerated[k] == counts[k] and tilde.weight == phi
                   and [F.out for F in tilde.forests] == ties[k])
             self.check("ENUM", ok, lambda: {
-                "k": k, "enumerated": got, "independent": counts[k],
-                "phi": str(tilde.weight), "independent_phi": str(best[k]),
+                "k": k, "enumerated": enumerated[k], "independent": counts[k],
+                "phi": str(tilde.weight), "independent_phi": str(phi),
                 "forests": [_forest_dict(F) for F in tilde.forests],
                 "independent_forests": [_forest_dict(Forest(self.graph, o))
                                         for o in ties[k]]})
@@ -847,7 +880,7 @@ class _Battery:
 def verify(graph: Digraph, upto_k: Optional[int] = None,
            cap: int = DEFAULT_CAP, seed: int = 0,
            max_pool: int = 10, max_subsets: int = 24,
-           exhaustive_limit: int = 6, enum_budget: int = 60000,
+           enum_budget: int = 60000,
            _analysis: Optional[Analysis] = None) -> VerificationReport:
     """Check every applicable statement against the enumerated tie sets.
 
@@ -858,7 +891,7 @@ def verify(graph: Digraph, upto_k: Optional[int] = None,
     """
     analysis = _analysis if _analysis is not None else Analysis.compute(graph, cap)
     battery = _Battery(analysis, random.Random(seed), max_pool, max_subsets,
-                       exhaustive_limit, enum_budget, upto_k=upto_k)
+                       enum_budget, upto_k=upto_k)
     return VerificationReport(graph, battery.run())
 
 
@@ -870,7 +903,6 @@ def corrupted_verify(graph: Digraph, level: int, cap: int = DEFAULT_CAP,
     the battery must report counterexamples; a clean report here means
     the battery itself is broken.
     """
-    from .enumeration import enumerate_forests
     analysis = Analysis.compute(graph, cap)
     tilde = analysis.minimal[level]
     intruder = None

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import strategies as st
 
 from forest_atoms import Analysis, Digraph
 
@@ -50,3 +51,16 @@ def random_graph(seed: int, n_max: int = 5, wmax: int = 5) -> Digraph:
             for i in range(n) for j in range(n)
             if i != j and rng.random() < density}
     return Digraph(names=names, arcs=arcs)
+
+
+@st.composite
+def signed_graphs(draw, max_arcs=None):
+    """N <= 5, weights zero, negative or fractional; many vertices get
+    no out-arc."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=max_arcs)) if pairs else []
+    weights = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    arcs = {p: draw(weights) for p in chosen}
+    return Digraph(names=tuple(f"v{i}" for i in range(n)), arcs=arcs)

@@ -13,13 +13,12 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from forest_atoms import (INF, CapExceeded, Digraph, Forest, InvariantError,
                           MinForestSet, PhiSequence, all_minimal_forests,
                           convexity_profile, count_forests, enumerate_forests,
                           is_strict_level, minimal_forests, phi_sequence)
-from tests.conftest import random_graph
+from tests.conftest import random_graph, signed_graphs
 
 
 def brute_force(graph):
@@ -69,21 +68,8 @@ def test_minimal_sets_match_brute_force(seed):
     assert_matches_brute_force(random_graph(seed, n_max=5))
 
 
-@st.composite
-def signed_graphs(draw):
-    """N <= 5, at most 9 arcs (so the arc-subset oracle stays small),
-    weights zero, negative or fractional; many vertices get no out-arc."""
-    n = draw(st.integers(1, 5))
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
-                           max_size=9)) if pairs else []
-    weights = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    arcs = {p: draw(weights) for p in chosen}
-    return Digraph(names=tuple(f"v{i}" for i in range(n)), arcs=arcs)
-
-
 @settings(max_examples=150, deadline=None)
-@given(signed_graphs())
+@given(signed_graphs(max_arcs=9))  # keeps the arc-subset oracle small
 def test_minimal_sets_match_brute_force_signed(g):
     assert_matches_brute_force(g)
 

@@ -14,7 +14,7 @@ from forest_atoms import (Digraph, Forest, InputError, components,
                           out_neighborhood, quotient, quotient_non_reaching,
                           quotient_reaches, replace_arcs, restrict, subtree,
                           tree_partition, upsilon)
-from forest_atoms.graph import Subgraph
+from forest_atoms.graph import Subgraph, _acyclic
 
 
 # -- strategies -------------------------------------------------------
@@ -125,6 +125,14 @@ def test_is_forest_matches_networkx(gm):
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from((v, t) for v, t in enumerate(out) if t is not None)
     assert is_forest(out, g) == nx.is_directed_acyclic_graph(nxg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_with_out_map(n_max=8))
+def test_fast_acyclicity_matches_is_forest(gm):
+    g, out = gm
+    assert _acyclic(out) == is_forest(out, g)
+    assert _acyclic(list(out)) == is_forest(out, g)
 
 
 # -- subtrees, components ---------------------------------------------

@@ -1,11 +1,16 @@
 """The statement battery: clean graphs verify, corrupted oracles fail."""
 
-import pytest
+from fractions import Fraction
 
-from forest_atoms import Digraph, corrupted_verify, verify
+import pytest
+from hypothesis import given, settings
+
+from forest_atoms import (Analysis, Digraph, Forest, MinForestSet,
+                          corrupted_verify, enumerate_forests, upsilon, verify)
+from forest_atoms.enumeration import _integer_arcs
 from forest_atoms.verification import (COUNTEREXAMPLE, NOT_APPLICABLE,
-                                       STATEMENTS, VERIFIED)
-from tests.conftest import random_graph
+                                       STATEMENTS, VERIFIED, _atom_assignments)
+from tests.conftest import ATO_ARCS, WOODY_ARCS, random_graph, signed_graphs
 
 
 def test_statement_registry_complete():
@@ -97,3 +102,105 @@ def test_unit_weight_theorem():
     report = verify(g, seed=0)
     assert report.ok
     assert report.statements["T7"].status == VERIFIED
+
+
+@pytest.mark.parametrize("arcs", [
+    [("a", "b", 1), ("b", "a", 1), ("c", "d", 1), ("d", "c", 1)],
+    [(a, b, 1) for a, b, _ in ATO_ARCS],
+    [(a, b, 1) for a, b, _ in WOODY_ARCS],
+])
+def test_unit_weight_tie_set_holds_every_forest(arcs):
+    # T7 walks the tie set: on unit weights every k-forest weighs N - k
+    g = Digraph.from_arcs(arcs)
+    an = Analysis.compute(g)
+    for k in an.feasible_levels():
+        assert an.minimal[k].forests == tuple(enumerate_forests(g, k))
+
+
+# -- P14: the per-atom search ------------------------------------------
+
+def _heads(F, order):
+    return tuple(F.out[v] for v in order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(signed_graphs())
+def test_atom_search_matches_brute_force(g):
+    """At every strict level, the least out-weight of an atom over all
+    forests with the required out-degree is rho, the forests meeting it
+    restrict to the realized patterns, and the search reaches exactly
+    the restrictions at or below any limit."""
+    an = Analysis.compute(g)
+    scale, arcs = _integer_arcs(g)
+    forests = list(enumerate_forests(g))
+    for k in an.feasible_levels():
+        if not an.strict(k):
+            continue
+        tilde = an.minimal[k]
+        fam = an.family(k)
+        for atom, lab in zip(fam.atoms, fam.labeled):
+            order = sorted(atom)
+            rho = upsilon(tilde.forests[0], atom) * scale
+            need = len(atom) - 1 if lab else len(atom)
+            brute = {}
+            for F in forests:
+                if sum(1 for v in atom if F.out[v] is not None) == need:
+                    brute[_heads(F, order)] = upsilon(F, atom) * scale
+            assert min(brute.values()) == rho
+            tight = {h for h, w in brute.items() if w == rho}
+            if lab:
+                # labeled atoms are judged on their inside arcs only
+                inside = lambda hs: frozenset(
+                    (v, t) for v, t in zip(order, hs) if t in atom)
+                assert ({inside(h) for h in tight}
+                        == {inside(_heads(H, order)) for H in tilde.forests})
+            else:
+                assert tight == {_heads(H, order) for H in tilde.forests}
+            for limit in {int(rho), int(max(brute.values()))}:
+                found = _atom_assignments(arcs, atom, lab, limit)
+                assert len(found) == len({h for _, h in found})
+                assert ({h: w for w, h in found}
+                        == {h: w for h, w in brute.items() if w <= limit})
+
+
+def _dropped_pattern_cases():
+    """(graph, analysis, k, atom) with one realized pattern of the atom
+    dropped from the level-k tie set, the atoms kept as they were."""
+    for seed in range(60):
+        g = random_graph(seed + 500, n_max=5, wmax=2)
+        an = Analysis.compute(g)
+        for k in an.feasible_levels():
+            if not an.strict(k):
+                continue
+            tilde = an.minimal[k]
+            for atom in an.family(k).atoms:
+                order = sorted(atom)
+                dropped = _heads(tilde.forests[0], order)
+                kept = tuple(F for F in tilde.forests
+                             if _heads(F, order) != dropped)
+                if kept:
+                    for level in an.feasible_levels():
+                        an.family(level)
+                    an.minimal[k] = MinForestSet(k, tilde.weight, kept)
+                    yield g, an, k, atom
+                    break
+            else:
+                continue
+            break
+
+
+def test_dropped_pattern_caught_by_p14():
+    cases = list(_dropped_pattern_cases())
+    assert len(cases) >= 5
+    # both kinds of atom are among them
+    assert {an.family(k).labeled[an.family(k).atoms.index(atom)]
+            for _, an, k, atom in cases} == {True, False}
+    for g, an, k, atom in cases:
+        report = verify(g, seed=0, _analysis=an)
+        p14 = report.statements["P14"]
+        assert p14.status == COUNTEREXAMPLE, (g.arcs, k, sorted(atom))
+        witness = p14.witness
+        assert witness["k"] == k
+        F = Forest.from_names(g, dict(witness["forest"]))
+        assert {g.index(v) for v in witness["atom"]} == atom
+        assert upsilon(F, atom) == upsilon(an.minimal[k].forests[0], atom)
