@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .enumeration import InfeasibleLevel, MinForestSet
-from .graph import (Digraph, Forest, InputError, components, in_neighborhood,
-                    replace_arcs, restrict, subtree, upsilon)
+from .enumeration import InfeasibleLevel, InvariantError, MinForestSet
+from .graph import (Digraph, Forest, InputError, _cached, components,
+                    in_neighborhood, replace_arcs, restrict, subtree, upsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,12 +33,17 @@ class AtomFamily:
     def __len__(self) -> int:
         return len(self.atoms)
 
+    @_cached
+    def _atom_index(self) -> dict[int, int]:
+        return {v: i for i, a in enumerate(self.atoms) for v in a}
+
     def atom_of(self, v: int) -> int:
         """Index of the atom containing v."""
-        for i, a in enumerate(self.atoms):
-            if v in a:
-                return i
-        raise InputError(f"vertex {v} not covered by the atom family")
+        try:
+            return self._atom_index[v]
+        except KeyError:
+            raise InputError(
+                f"vertex {v} not covered by the atom family") from None
 
     def labeled_atoms(self) -> tuple[frozenset[int], ...]:
         return tuple(a for a, l in zip(self.atoms, self.labeled) if l)
@@ -76,7 +81,8 @@ def atoms(graph: Digraph, k: int, tilde: MinForestSet) -> AtomFamily:
     cells = sorted((frozenset(c) for c in partition), key=min)
     all_roots: set[int] = set()
     for F in tilde.forests:
-        all_roots |= F.roots
+        # not F.roots, which would keep a cached set on every tied forest
+        all_roots.update(v for v, t in enumerate(F.out) if t is None)
     labeled = tuple(bool(cell & all_roots) for cell in cells)
     family = AtomFamily(k, tuple(cells), labeled)
     # atom indivisibility: every tree of every minimal forest meets each
@@ -85,7 +91,8 @@ def atoms(graph: Digraph, k: int, tilde: MinForestSet) -> AtomFamily:
         for tree in components(F):
             for cell in family.atoms:
                 meet = cell & tree
-                assert not meet or meet == cell, "atom split by a generator tree"
+                if meet and meet != cell:
+                    raise InvariantError("atom split by a generator tree")
     return family
 
 
@@ -137,8 +144,8 @@ def measure(graph: Digraph, k: int, tilde: MinForestSet,
                   for F in tilde.forests)
     well = all(row == table[0] for row in table)
     values = table[0]
-    if well:
-        assert sum(values, Fraction(0)) == tilde.weight
+    if well and sum(values, Fraction(0)) != tilde.weight:
+        raise InvariantError("atom measure does not sum to phi^k")
     return AtomMeasure(k, values, well, table)
 
 
@@ -147,9 +154,10 @@ def component_measure(graph: Digraph, k: int, tilde: MinForestSet,
     """Out-weights of the components of F|_U, per minimal forest F.
 
     For every component vertex-set X of any F|_U, all minimal forests
-    carry the same out-weight on X (asserted).  Once the restriction is
-    known to be a tree this collapses to the plain atom measure; kept
-    as the verification instrument for the component-level statement.
+    carry the same out-weight on X (InvariantError otherwise).  Once the
+    restriction is known to be a tree this collapses to the plain atom
+    measure; kept as the verification instrument for the component-level
+    statement.
     """
     if not tilde.forests:
         raise InfeasibleLevel(k)
@@ -158,9 +166,9 @@ def component_measure(graph: Digraph, k: int, tilde: MinForestSet,
         comps = restrict(F, U).component_sets()
         weights = tuple(upsilon(F, X) for X in comps)
         for X, w in zip(comps, weights):
-            for G in tilde.forests:
-                assert upsilon(G, X) == w, \
-                    "component out-weight differs between minimal forests"
+            if any(upsilon(G, X) != w for G in tilde.forests):
+                raise InvariantError(
+                    "component out-weight differs between minimal forests")
         result[F] = weights
     return result
 

@@ -30,6 +30,26 @@ class InputError(ValueError):
     """Malformed caller input: unknown vertex, missing arc, bad weight."""
 
 
+class _cached:
+    """Attribute computed on first access, then kept in the instance dict.
+
+    A non-data descriptor, so later reads never call back here, and,
+    unlike ``functools.cached_property``, it takes no lock.  For
+    immutable owners and values that are never mutated.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _as_fraction(w) -> Fraction:
     try:
         return Fraction(w)
@@ -100,7 +120,7 @@ class Digraph:
     def n(self) -> int:
         return len(self.names)
 
-    @property
+    @_cached
     def vertex_set(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
@@ -167,16 +187,18 @@ class Forest:
                          for v, t in enumerate(self.out) if t is not None)
         return f"Forest({arcs or 'empty'})"
 
-    @property
+    # derived views, built on first use; equality and hash ignore them
+
+    @_cached
     def roots(self) -> frozenset[int]:
         return frozenset(v for v, t in enumerate(self.out) if t is None)
 
     @property
     def k(self) -> int:
         """Number of trees."""
-        return sum(1 for t in self.out if t is None)
+        return len(self.roots)
 
-    @property
+    @_cached
     def arc_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((v, t) for v, t in enumerate(self.out) if t is not None)
 
@@ -186,33 +208,63 @@ class Forest:
                     for v, t in enumerate(self.out) if t is not None),
                    Fraction(0))
 
+    @_cached
+    def _root_paths(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the path to its root, inclusive."""
+        out = self.out
+        paths: list[Optional[tuple[int, ...]]] = [None] * len(out)
+        for v in range(len(out)):
+            # walk up to a vertex whose path is known, then fill back
+            todo = []
+            u = v
+            while paths[u] is None and out[u] is not None:
+                todo.append(u)
+                u = out[u]
+            if paths[u] is None:
+                paths[u] = (u,)
+            for w in reversed(todo):
+                paths[w] = (w,) + paths[out[w]]
+        return tuple(paths)
+
+    @_cached
+    def _root_map(self) -> tuple[int, ...]:
+        return _root_walk(self.out)
+
+    @_cached
+    def _subtrees(self) -> tuple[frozenset[int], ...]:
+        """Per vertex i, the vertices whose root path passes through i."""
+        acc: list[list[int]] = [[] for _ in self.out]
+        for u, path in enumerate(self._root_paths):
+            for v in path:
+                acc[v].append(u)
+        return tuple(map(frozenset, acc))
+
     def root_of(self, v: int) -> int:
-        while self.out[v] is not None:
-            v = self.out[v]
-        return v
+        return self._root_map[v]
 
     def root_path(self, v: int) -> tuple[int, ...]:
         """Vertices on the path from v to its root, inclusive."""
-        path = [v]
-        while self.out[v] is not None:
-            v = self.out[v]
-            path.append(v)
-        return tuple(path)
+        return self._root_paths[v]
 
     def reaches(self, u: int, v: int) -> bool:
         """True iff v lies on u's root path (every vertex reaches itself)."""
-        while True:
-            if u == v:
-                return True
-            t = self.out[u]
-            if t is None:
-                return False
-            u = t
+        return u in self._subtrees[v]
 
     def arc_names(self) -> list[tuple[str, str]]:
         names = self.graph.names
         return [(names[v], names[t])
                 for v, t in enumerate(self.out) if t is not None]
+
+
+def _root_walk(out: Sequence[Optional[int]]) -> tuple[int, ...]:
+    """The root of every vertex of an acyclic out-map."""
+    roots = []
+    for v in range(len(out)):
+        u = v
+        while out[u] is not None:
+            u = out[u]
+        roots.append(u)
+    return tuple(roots)
 
 
 def _acyclic(out: Sequence[Optional[int]]) -> bool:
@@ -279,14 +331,6 @@ def is_forest(candidate: OutMap, graph: Digraph) -> bool:
     return _acyclic(out)
 
 
-def children_lists(F: Forest) -> list[list[int]]:
-    ch: list[list[int]] = [[] for _ in range(F.graph.n)]
-    for v, t in enumerate(F.out):
-        if t is not None:
-            ch[t].append(v)
-    return ch
-
-
 def subtree(F: Forest, i: int) -> frozenset[int]:
     """Vertex set of the inclusion-maximal subtree of F rooted at i.
 
@@ -295,23 +339,16 @@ def subtree(F: Forest, i: int) -> frozenset[int]:
     """
     if not 0 <= i < F.graph.n:
         raise InputError(f"unknown vertex id {i!r}")
-    ch = children_lists(F)
-    acc = {i}
-    stack = [i]
-    while stack:
-        v = stack.pop()
-        for c in ch[v]:
-            if c not in acc:
-                acc.add(c)
-                stack.append(c)
-    return frozenset(acc)
+    return F._subtrees[i]
 
 
 def components(F: Forest) -> tuple[frozenset[int], ...]:
     """Vertex sets of the maximal trees, ordered by root index."""
-    blocks: dict[int, set[int]] = {r: set() for r in F.roots}
-    for v in range(F.graph.n):
-        blocks[F.root_of(v)].add(v)
+    # walks F.out instead of caching views: atoms() takes the components
+    # of every forest of a tie set, which can hold many thousands
+    blocks: dict[int, list[int]] = {}
+    for v, r in enumerate(_root_walk(F.out)):
+        blocks.setdefault(r, []).append(v)
     return tuple(frozenset(blocks[r]) for r in sorted(blocks))
 
 
@@ -406,12 +443,16 @@ def in_neighborhood(G: ArcCarrier, S: frozenset[int]) -> frozenset[int]:
 def replace_arcs(F: Forest, G: Forest, D: frozenset[int]) -> tuple[Optional[int], ...]:
     """Out-arcs of F with the arcs on D replaced by G's.
 
-    Returns a raw out-arc map: the result may or may not be a forest,
-    so callers must validate explicitly (is_forest / Forest()).
+    D holds vertex indices of the common graph.  Returns a raw out-arc
+    map: the result may or may not be a forest, so callers must
+    validate explicitly (is_forest / Forest()).
     """
     if F.graph is not G.graph:
         raise InputError("forests must share the parent digraph")
-    return tuple(G.out[v] if v in D else F.out[v] for v in range(F.graph.n))
+    out = list(F.out)
+    for v in D:
+        out[v] = G.out[v]
+    return tuple(out)
 
 
 def rewrite_guard(F: Forest, G: Forest, D: frozenset[int]) -> bool:
@@ -472,11 +513,15 @@ class TreePartition:
     generators: frozenset[int]
     blocks: Mapping[int, frozenset[int]]
 
+    @_cached
+    def _block_index(self) -> dict[int, int]:
+        return {v: alpha for alpha, block in self.blocks.items() for v in block}
+
     def block_of(self, v: int) -> int:
-        for alpha, block in self.blocks.items():
-            if v in block:
-                return alpha
-        raise InputError(f"vertex {v} not covered by the partition")
+        try:
+            return self._block_index[v]
+        except KeyError:
+            raise InputError(f"vertex {v} not covered by the partition") from None
 
     def block_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(self.blocks[a] for a in sorted(self.blocks))
@@ -487,11 +532,11 @@ def tree_partition(F: Forest, A: frozenset[int]) -> TreePartition:
     if not F.roots <= A:
         missing = sorted(F.roots - A)
         raise InputError(f"generator set is missing roots {missing}")
-    pruned = Forest(F.graph,
-                    tuple(None if v in A else F.out[v] for v in range(F.graph.n)))
-    blocks = {r: set() for r in A}
-    for v in range(F.graph.n):
-        blocks[pruned.root_of(v)].add(v)
+    # deleting A's out-arcs leaves v in the block of the first generator
+    # on its root path; the path's root is one, so the search ends
+    blocks: dict[int, list[int]] = {a: [] for a in A}
+    for v, path in enumerate(F._root_paths):
+        blocks[next(u for u in path if u in A)].append(v)
     return TreePartition(F, frozenset(A),
                          {a: frozenset(b) for a, b in blocks.items()})
 

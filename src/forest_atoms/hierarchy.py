@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .analysis import Analysis
 from .atoms import AtomFamily
+from .enumeration import InvariantError
 from .graph import INF, Digraph, Weight
 
 
@@ -49,10 +50,11 @@ def build_hierarchy(analysis: Analysis) -> list[HierarchyLevel]:
         ))
     # nesting + gap monotonicity are theorems; keep them as invariants
     for upper, lower in zip(levels, levels[1:]):
-        assert all(any(a <= b for b in upper.atoms.atoms)
-                   for a in lower.atoms.atoms), "hierarchy levels do not nest"
-        assert upper.gap == INF or upper.gap > lower.gap, \
-            "gaps must strictly decrease while finite"
+        if not all(any(a <= b for b in upper.atoms.atoms)
+                   for a in lower.atoms.atoms):
+            raise InvariantError("hierarchy levels do not nest")
+        if not (upper.gap == INF or upper.gap > lower.gap):
+            raise InvariantError("gaps must strictly decrease while finite")
     return levels
 
 

@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .analysis import Analysis
 from .atoms import (AtomFamily, VerificationFailure, algebra_contains,
@@ -39,6 +39,7 @@ from .graph import (INF, Digraph, Forest, InputError, Weight, _acyclic,
                     out_neighborhood, quotient, quotient_non_reaching,
                     quotient_reaches, replace_arcs, restrict, rewrite_guard,
                     subtree, tree_partition, upsilon)
+from .io import graph_json
 
 STATEMENTS = (
     ["L%d" % i for i in range(1, 8)]
@@ -76,7 +77,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "graph": graph_to_dict(self.graph),
+            "graph": graph_json(self.graph),
             "ok": self.ok,
             "statements": {
                 s: {"status": o.status, "checks": o.checks,
@@ -84,16 +85,6 @@ class VerificationReport:
                 for s, o in sorted(self.statements.items())
             },
         }
-
-
-def graph_to_dict(graph: Digraph) -> dict:
-    return {
-        "vertices": list(graph.names),
-        "arcs": sorted(
-            [graph.names[i], graph.names[j], str(w)]
-            for (i, j), w in graph.arcs.items()
-        ),
-    }
 
 
 def _names(graph: Digraph, S) -> list[str]:
@@ -153,6 +144,8 @@ class _Battery:
         self._tsamples: dict[int, tuple[Forest, ...]] = {}
         self._tilde_outs: dict[int, frozenset] = {}
         self._realized_outs: dict[tuple, set] = {}
+        self._acyclic_memo: dict[tuple, bool] = {}
+        self._all_subsets: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
         self.outcomes = {s: Outcome() for s in STATEMENTS}
         self.pool = self._build_pool(max_pool)
         self.enum_budget = enum_budget
@@ -170,7 +163,7 @@ class _Battery:
         if o.status != COUNTEREXAMPLE:
             o.status = COUNTEREXAMPLE
             o.witness = {"statement": stmt,
-                         "graph": graph_to_dict(self.graph), **witness}
+                         "graph": graph_json(self.graph), **witness}
         o.checks += 1
 
     def check(self, stmt: str, ok: bool, witness_fn) -> None:
@@ -203,20 +196,34 @@ class _Battery:
                 pool[F.out] = F
         return list(pool.values())
 
+    def _memo_acyclic(self, out: tuple[Optional[int], ...]) -> bool:
+        """``_acyclic`` memoized by out-tuple; the replacement claims
+        test the same maps over and over."""
+        ok = self._acyclic_memo.get(out)
+        if ok is None:
+            ok = self._acyclic_memo[out] = _acyclic(out)
+        return ok
+
     def _sample_subsets(self, universe: frozenset[int], limit: Optional[int] = None,
-                        nonempty: bool = False) -> list[frozenset[int]]:
+                        nonempty: bool = False) -> Sequence[frozenset[int]]:
         limit = limit or self.max_subsets
         items = sorted(universe)
         total = 2 ** len(items)
         if total <= limit:
-            subs = [frozenset(c) for r in range(len(items) + 1)
-                    for c in itertools.combinations(items, r)]
+            # every subset, no draws: the same list for any limit
+            if universe not in self._all_subsets:
+                self._all_subsets[universe] = tuple(
+                    frozenset(c) for r in range(len(items) + 1)
+                    for c in itertools.combinations(items, r))
+            subs = self._all_subsets[universe]
         else:
+            rand = self.rng.random
             subs = {frozenset(), frozenset(items)}
             while len(subs) < limit:
-                subs.add(frozenset(v for v in items if self.rng.random() < 0.5))
+                subs.add(frozenset([v for v in items if rand() < 0.5]))
             subs = sorted(subs, key=lambda s: (len(s), sorted(s)))
-        return [s for s in subs if s] if nonempty else subs
+        # the empty set always sorts first
+        return subs[1:] if nonempty else subs
 
     def levels(self) -> list[int]:
         return [k for k in self.an.feasible_levels()
@@ -359,7 +366,7 @@ class _Battery:
             F, G = self.pool[fi], self.pool[gi]
             for D in self._sample_subsets(self.graph.vertex_set, limit=10):
                 if rewrite_guard(F, G, D):
-                    ok = _acyclic(replace_arcs(F, G, D))
+                    ok = self._memo_acyclic(replace_arcs(F, G, D))
                     self.check("L1", ok, lambda: {
                         "F": _forest_dict(F), "G": _forest_dict(G),
                         "D": _names(self.graph, D)})
@@ -371,8 +378,8 @@ class _Battery:
         comps_g = components(G)
 
         def both_forests(D: frozenset[int]) -> bool:
-            return (_acyclic(replace_arcs(F, G, D))
-                    and _acyclic(replace_arcs(G, F, D)))
+            return (self._memo_acyclic(replace_arcs(F, G, D))
+                    and self._memo_acyclic(replace_arcs(G, F, D)))
 
         def case(tag: str, D: frozenset[int]) -> None:
             self.check("P1", both_forests(D), lambda: {
@@ -409,7 +416,8 @@ class _Battery:
                                 self.graph.vertex_set, limit=8):
                             p_out = replace_arcs(F, G, D)
                             q_out = replace_arcs(G, F, D)
-                            if not (_acyclic(p_out) and _acyclic(q_out)):
+                            if not (self._memo_acyclic(p_out)
+                                    and self._memo_acyclic(q_out)):
                                 continue
                             rF = len(F.roots & D)
                             rG = len(G.roots & D)
@@ -547,7 +555,7 @@ class _Battery:
             for G in self.tsample(k):
                 for A in elements:
                     out = replace_arcs(F, G, A)
-                    if _acyclic(out):
+                    if self._memo_acyclic(out):
                         self.check("P12", self._in_tilde(out, k), lambda: {
                             "k": k, "F": _forest_dict(F), "G": _forest_dict(G),
                             "A": _names(self.graph, A)})
@@ -556,7 +564,7 @@ class _Battery:
                     continue
                 for G in self.tsample(k):
                     out = replace_arcs(F, G, A)
-                    ok = _acyclic(out) and self._in_tilde(out, k)
+                    ok = self._memo_acyclic(out) and self._in_tilde(out, k)
                     self.check("P13", ok, lambda: {
                         "k": k, "F": _forest_dict(F), "G": _forest_dict(G),
                         "A": _names(self.graph, A)})

@@ -5,6 +5,7 @@ integer weights 1..5, random density); criterion 8 re-runs it with a
 different worker count and demands byte-identical output.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -22,6 +23,9 @@ import random
 from tests.conftest import ATO_ARCS, WOODY_ARCS
 
 MAIN_SPEC = EnsembleSpec(trials=500, seed=42, n_max=7, wmin=1, wmax=5)
+# sha256 of the MAIN_SPEC campaign document: pins the battery's RNG draw
+# order, every status and every checks count
+MAIN_DIGEST = "2124fe47afd941c768bedf56ee9487a8a6850df7afd600120971776ee42d6c4d"
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -174,3 +178,8 @@ def test_criterion_8_determinism(main_campaign, capsys):
     with capsys.disabled():
         _report(8, "same seed, worker count varied: byte-identical "
                    "campaign documents", ok)
+
+
+def test_campaign_document_pinned(main_campaign):
+    _, text, _ = main_campaign
+    assert hashlib.sha256(text.encode()).hexdigest() == MAIN_DIGEST

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from forest_atoms import (Analysis, Digraph, InfeasibleLevel,
+from forest_atoms import (Analysis, Digraph, InfeasibleLevel, InputError,
                           VerificationFailure, algebra_contains,
                           algebra_elements, atoms, component_measure,
                           detach_incoming, find_shielded_forest,
@@ -78,6 +78,13 @@ def test_atoms_input_checks(g_ato, an_ato):
         atoms(g_ato, 3, an_ato.minimal[2])  # k mismatch
     with pytest.raises(InfeasibleLevel):
         atoms(g_ato, 1, MinForestSet(1, float("inf"), ()))
+    fam = an_ato.family(3)
+    assert [fam.atom_of(v) for v in range(g_ato.n)] == [
+        next(i for i, a in enumerate(fam.atoms) if v in a)
+        for v in range(g_ato.n)]
+    for v in (g_ato.n, -1):
+        with pytest.raises(InputError):
+            fam.atom_of(v)
 
 
 def test_algebra_membership(an_ato, g_ato):

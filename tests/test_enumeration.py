@@ -161,19 +161,79 @@ def test_invariant_errors(g_ato, an_ato):
         convexity_profile(PhiSequence((INF, 3, INF, 0)))  # rises to inf
 
 
+# Each case corrupts one input (or, for atom indivisibility, the
+# refinement that guarantees it) and must still raise under -O.
+OPTIMIZED_CASES = """
+import importlib
+
+from forest_atoms import (INF, Analysis, Digraph, InvariantError,
+                          MinForestSet, PhiSequence, atoms, build_hierarchy,
+                          component_measure, measure)
+
+# the package's atoms() function shadows the module of the same name
+atoms_mod = importlib.import_module("forest_atoms.atoms")
+ato = Digraph.from_arcs([("b", "a", 1), ("a", "c", 2), ("b", "d", 2),
+                         ("c", "b", 3)])
+an = Analysis.compute(ato)
+# two tied 2-forests, a->c and b->c, with different out-weights on {a}
+fork = Digraph.from_arcs([("a", "c", 1), ("b", "c", 1)])
+
+
+def unrefined_atoms():
+    refine = atoms_mod._refine
+    atoms_mod._refine = lambda partition, blocks: partition
+    try:
+        atoms(ato, 2, an.minimal[2])
+    finally:
+        atoms_mod._refine = refine
+
+
+def wrong_phi_measure():
+    tilde = an.minimal[2]
+    measure(ato, 2, MinForestSet(2, tilde.weight + 1, tilde.forests),
+            an.family(2))
+
+
+def unnested_hierarchy():
+    bad = Analysis.compute(ato)
+    bad._families[1] = bad.family(4)
+    build_hierarchy(bad)
+
+
+def unordered_gaps():
+    bad = Analysis.compute(ato)
+    bad.phi = PhiSequence((INF, 7, 3, 2, 0))
+    build_hierarchy(bad)
+
+
+cases = {
+    "gap": lambda: PhiSequence((INF, INF, 0)).gap(1),
+    "atom split": unrefined_atoms,
+    "measure sum": wrong_phi_measure,
+    "component measure": lambda: component_measure(
+        fork, 2, Analysis.compute(fork).minimal[2], fork.vset(["a"])),
+    "nesting": unnested_hierarchy,
+    "gap order": unordered_gaps,
+}
+for name, case in cases.items():
+    try:
+        case()
+        print(name, "passed")
+    except InvariantError:
+        print(name, "raised")
+"""
+
+
 def test_invariants_survive_optimize_flag():
-    code = ("from forest_atoms import INF, InvariantError, PhiSequence\n"
-            "try:\n"
-            "    PhiSequence((INF, INF, 0)).gap(1)\n"
-            "except InvariantError:\n"
-            "    print('raised')\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+    res = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CASES],
+                         env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "raised"
+    assert res.stdout.splitlines() == [
+        "gap raised", "atom split raised", "measure sum raised",
+        "component measure raised", "nesting raised", "gap order raised"]
 
 
 def test_strictness(an_ato, an_woody):

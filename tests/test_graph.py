@@ -15,6 +15,7 @@ from forest_atoms import (Digraph, Forest, InputError, components,
                           quotient_reaches, replace_arcs, restrict, subtree,
                           tree_partition, upsilon)
 from forest_atoms.graph import Subgraph, _acyclic
+from tests.conftest import signed_graphs
 
 
 # -- strategies -------------------------------------------------------
@@ -269,3 +270,76 @@ def test_quotient_reachability_equivalence(F, data):
         beta = quotient_non_reaching(qout, frozenset(A))
         assert not any(quotient_reaches(qout, beta, o)
                        for o in A if o != beta)
+
+
+# -- cached forest views against plain walks over F.out ---------------
+
+def _draw_forest(draw, g):
+    """Random out-arcs of g, each contour broken by making one of its
+    vertices a root."""
+    out = [draw(st.sampled_from([None] + [t for t, _ in g.out_lists[v]]))
+           for v in range(g.n)]
+    for v in range(g.n):
+        u = v
+        for _ in range(g.n):
+            u = None if u is None else out[u]
+        if u is not None:   # n steps from v and still moving: on a contour
+            out[u] = None
+    return Forest(g, tuple(out))
+
+
+@st.composite
+def signed_forest_pairs(draw):
+    """Two forests of one ``signed_graphs`` digraph."""
+    g = draw(signed_graphs())
+    return _draw_forest(draw, g), _draw_forest(draw, g)
+
+
+def _walk(out, v):
+    path = [v]
+    while out[path[-1]] is not None:
+        path.append(out[path[-1]])
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_forest_pairs(), st.data())
+def test_cached_views_match_plain_walks(FG, data):
+    F, G = FG
+    g, out, n = F.graph, F.out, F.graph.n
+    vertices = st.sets(st.integers(0, n - 1))
+    S = frozenset(data.draw(vertices))
+    paths = [_walk(out, v) for v in range(n)]
+    for u in range(n):
+        assert F.root_of(u) == paths[u][-1]
+        assert F.root_path(u) == tuple(paths[u])
+        assert subtree(F, u) == {w for w in range(n) if u in paths[w]}
+        for v in range(n):
+            assert F.reaches(u, v) == (v in paths[u])
+    roots = sorted(v for v in range(n) if out[v] is None)
+    assert F.roots == frozenset(roots)
+    assert F.arc_pairs == {(v, t) for v, t in enumerate(out) if t is not None}
+    assert components(F) == tuple(
+        frozenset(w for w in range(n) if paths[w][-1] == r) for r in roots)
+    assert in_neighborhood(F, S) == {
+        v for v in range(n) if v not in S and out[v] in S}
+    assert out_neighborhood(F, S) == {
+        out[v] for v in S if out[v] is not None and out[v] not in S}
+    assert restrict(F, S).arcs == {(v, out[v]) for v in S if out[v] in S}
+    D = frozenset(data.draw(vertices))
+    assert replace_arcs(F, G, D) == tuple(
+        G.out[v] if v in D else out[v] for v in range(n))
+    A = F.roots | S
+    P = tree_partition(F, A)
+    for v in range(n):
+        alpha = next(u for u in paths[v] if u in A)
+        assert P.block_of(v) == alpha and v in P.blocks[alpha]
+    assert set(P.blocks) == A
+    with pytest.raises(InputError):
+        P.block_of(n)
+    # the views are cached, and equality and hashing ignore the caches
+    assert F._root_paths is F._root_paths and F.roots is F.roots
+    fresh = Forest(g, out)
+    assert fresh == F and F == fresh and hash(fresh) == hash(F)
+    assert {F: 1}[fresh] == 1
+    assert fresh != Forest(Digraph(g.names, dict(g.arcs)), out)
