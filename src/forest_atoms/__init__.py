@@ -5,8 +5,8 @@ derived metastable-timescale hierarchy."""
 from .analysis import Analysis
 from .atoms import (AtomFamily, AtomMeasure, VerificationFailure,
                     algebra_contains, algebra_elements, atoms,
-                    component_measure, detach_incoming, find_shielded_forest,
-                    is_symmetric, measure, symmetrize, undirected_check)
+                    detach_incoming, find_shielded_forest, is_symmetric,
+                    measure, symmetrize, undirected_check)
 from .campaign import EnsembleSpec, random_digraph, run_campaign
 from .enumeration import (DEFAULT_CAP, EQUAL, STRICT, UNDEFINED, CapExceeded,
                           InfeasibleLevel, InvariantError, MinForestSet,
@@ -18,8 +18,7 @@ from .graph import (INF, Digraph, Forest, InputError, Subgraph, TreePartition,
                     rewrite_guard, out_neighborhood, quotient,
                     quotient_non_reaching, quotient_reaches, replace_arcs,
                     restrict, subtree, tree_partition, upsilon)
-from .hierarchy import (HierarchyLevel, build_hierarchy, from_rate_exponents,
-                        stochastic_support)
+from .hierarchy import HierarchyLevel, build_hierarchy, from_rate_exponents
 from .io import (ParseError, analysis_document, dump_document, load_document,
                  load_graph, parse_edge_list, to_dot)
 from .verification import (VerificationReport, corrupted_verify, verify)

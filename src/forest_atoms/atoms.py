@@ -15,7 +15,7 @@ from typing import Optional
 
 from .enumeration import InfeasibleLevel, InvariantError, MinForestSet
 from .graph import (Digraph, Forest, InputError, _cached, components,
-                    in_neighborhood, replace_arcs, restrict, subtree, upsilon)
+                    in_neighborhood, replace_arcs, subtree, upsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,30 +147,6 @@ def measure(graph: Digraph, k: int, tilde: MinForestSet,
     if well and sum(values, Fraction(0)) != tilde.weight:
         raise InvariantError("atom measure does not sum to phi^k")
     return AtomMeasure(k, values, well, table)
-
-
-def component_measure(graph: Digraph, k: int, tilde: MinForestSet,
-                      U: frozenset[int]) -> dict[Forest, tuple[Fraction, ...]]:
-    """Out-weights of the components of F|_U, per minimal forest F.
-
-    For every component vertex-set X of any F|_U, all minimal forests
-    carry the same out-weight on X (InvariantError otherwise).  Once the
-    restriction is known to be a tree this collapses to the plain atom
-    measure; kept as the verification instrument for the component-level
-    statement.
-    """
-    if not tilde.forests:
-        raise InfeasibleLevel(k)
-    result: dict[Forest, tuple[Fraction, ...]] = {}
-    for F in tilde.forests:
-        comps = restrict(F, U).component_sets()
-        weights = tuple(upsilon(F, X) for X in comps)
-        for X, w in zip(comps, weights):
-            if any(upsilon(G, X) != w for G in tilde.forests):
-                raise InvariantError(
-                    "component out-weight differs between minimal forests")
-        result[F] = weights
-    return result
 
 
 class VerificationFailure(AssertionError):

@@ -2,8 +2,9 @@
 
 Subcommands: ``phi``, ``atoms``, ``verify``, ``hierarchy``.
 
-Exit codes: 0 ok, 1 counterexample found, 2 parse/usage error,
-3 enumeration cap exceeded, 4 infeasible level, 5 i/o error.
+Exit codes: 0 ok, 1 counterexample found or internal invariant failed,
+2 parse/usage error, 3 enumeration cap exceeded, 4 infeasible level,
+5 i/o error.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from typing import Optional
 from .analysis import Analysis
 from .atoms import symmetrize
 from .campaign import EnsembleSpec, run_campaign
-from .enumeration import DEFAULT_CAP, CapExceeded, InfeasibleLevel
+from .enumeration import (DEFAULT_CAP, CapExceeded, InfeasibleLevel,
+                          InvariantError)
 from .graph import Digraph, InputError
 from .hierarchy import build_hierarchy
 from .io import (ParseError, analysis_document, dump_document, graph_from_json,
                  hierarchy_dot, load_document, load_graph, to_dot,
                  weight_to_json)
-from .verification import corrupted_verify, verify
+from .verification import (COUNTEREXAMPLE, NOT_APPLICABLE, VERIFIED,
+                           corrupted_verify, verify)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -68,6 +71,10 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from None
+
+
+def _write_witnesses(path: str, witnesses: list) -> None:
+    _write(path, dump_document({"schema_version": 1, "witnesses": witnesses}))
 
 
 def _atom_str(graph: Digraph, atom, labeled: bool) -> str:
@@ -139,11 +146,10 @@ def _parse_random(spec: str) -> EnsembleSpec:
         raise _CliError(EXIT_USAGE, f"bad --random value: {exc}") from None
 
 
-def _report_summary(statements: dict) -> tuple[int, int, int]:
-    verified = sum(1 for s in statements.values() if s == "verified")
-    na = sum(1 for s in statements.values() if s == "not-applicable")
-    bad = sum(1 for s in statements.values() if s == "counterexample")
-    return verified, na, bad
+def _summary_line(statuses: list[str]) -> str:
+    return (f"statements verified: {statuses.count(VERIFIED)}, "
+            f"not-applicable: {statuses.count(NOT_APPLICABLE)}, "
+            f"counterexamples: {statuses.count(COUNTEREXAMPLE)}")
 
 
 def cmd_verify(args) -> int:
@@ -157,9 +163,8 @@ def cmd_verify(args) -> int:
             # from --self-test as the failure signal
             _say(args, "self-test FAILED: corrupted oracle went undetected")
             return EXIT_OK
-        _write(witness_path, dump_document(
-            {"schema_version": 1, "witnesses": [
-                report.statements[s].witness for s in report.counterexamples]}))
+        _write_witnesses(witness_path, [report.statements[s].witness
+                                        for s in report.counterexamples])
         _say(args, "self-test ok: corrupted oracle detected "
                    f"({', '.join(report.counterexamples)}); "
                    f"witnesses in {witness_path}")
@@ -170,21 +175,17 @@ def cmd_verify(args) -> int:
         doc = run_campaign(spec, workers=args.workers)
         if args.json:
             print(dump_document(doc), end="")
-        statuses = {}
-        for entry in doc["results"]:
-            for s, st in entry["statements"].items():
-                if statuses.get(s) != "counterexample":
-                    if st == "counterexample" or statuses.get(s) != "verified":
-                        statuses[s] = st
-        v, na, bad = _report_summary(statuses)
-        _say(args, f"trials: {spec.trials}  statements verified: {v}, "
-                   f"not-applicable: {na}, counterexamples: {bad}")
+        # a statement fails if any trial fails it, else it is verified if
+        # any trial verifies it
+        statuses = [next(st for st in (COUNTEREXAMPLE, VERIFIED, NOT_APPLICABLE)
+                         if counts.get(st))
+                    for counts in doc["summary"].values()]
+        _say(args, f"trials: {spec.trials}  {_summary_line(statuses)}")
         if not doc["ok"]:
             witness_path = args.witness or "campaign.witness.json"
-            _write(witness_path, dump_document({
-                "schema_version": 1,
-                "witnesses": [w for e in doc["results"] if not e["ok"]
-                              for w in e["witnesses"]]}))
+            _write_witnesses(witness_path, [w for e in doc["results"]
+                                            if not e["ok"]
+                                            for w in e["witnesses"]])
             _say(args, f"witnesses in {witness_path}")
             return EXIT_COUNTEREXAMPLE
         return EXIT_OK
@@ -199,10 +200,7 @@ def cmd_verify(args) -> int:
     analysis = _analyze(graph, args)
     report = verify(graph, upto_k=args.k, cap=args.cap, seed=args.seed,
                     _analysis=analysis)
-    statuses = {s: o.status for s, o in report.statements.items()}
-    v, na, bad = _report_summary(statuses)
-    _say(args, f"statements verified: {v}, not-applicable: {na}, "
-               f"counterexamples: {bad}")
+    _say(args, _summary_line([o.status for o in report.statements.values()]))
     if args.json:
         hierarchy = build_hierarchy(analysis)
         doc = analysis_document(analysis, hierarchy,
@@ -210,9 +208,8 @@ def cmd_verify(args) -> int:
         print(dump_document(doc), end="")
     if not report.ok:
         witness_path = args.witness or args.input + ".witness.json"
-        _write(witness_path, dump_document(
-            {"schema_version": 1, "witnesses": [
-                report.statements[s].witness for s in report.counterexamples]}))
+        _write_witnesses(witness_path, [report.statements[s].witness
+                                        for s in report.counterexamples])
         _say(args, f"witnesses in {witness_path}")
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
@@ -291,10 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="run the statement battery; exit 1 on "
                             "counterexamples")
+    common(p, needs_input=False)
     p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--k", type=int, default=None,
                    help="verify levels up to k only")
     p.add_argument("--seed", type=int, default=0)
@@ -331,6 +326,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return EXIT_COUNTEREXAMPLE
 
 
 if __name__ == "__main__":

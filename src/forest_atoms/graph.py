@@ -470,6 +470,14 @@ def rewrite_guard(F: Forest, G: Forest, D: frozenset[int]) -> bool:
     return not any(F.reaches(s, t) for s in sources for t in targets)
 
 
+def _non_reaching(reaches, B: frozenset[int]) -> int:
+    """The smallest b of B from which ``reaches`` finds no other member."""
+    for b in sorted(B):
+        if not any(reaches(b, other) for other in B if other != b):
+            return b
+    raise AssertionError("no non-reaching vertex found; B spans a contour?")
+
+
 def find_non_reaching(F: Forest, B: frozenset[int]) -> int:
     """A vertex of B from which no other vertex of B is reachable in F.
 
@@ -478,26 +486,7 @@ def find_non_reaching(F: Forest, B: frozenset[int]) -> int:
     """
     if not B:
         raise InputError("B must be nonempty")
-    for b in sorted(B):
-        if not any(F.reaches(b, other) for other in B if other != b):
-            return b
-    raise AssertionError("no non-reaching vertex found; B spans a contour?")
-
-
-def _non_reaching_in_map(out: Mapping[int, Optional[int]], B: frozenset[int]) -> int:
-    def reaches(u, v):
-        while True:
-            if u == v:
-                return True
-            t = out[u]
-            if t is None:
-                return False
-            u = t
-
-    for b in sorted(B):
-        if not any(reaches(b, other) for other in B if other != b):
-            return b
-    raise AssertionError("no non-reaching vertex found")
+    return _non_reaching(F.reaches, B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,7 +559,7 @@ def quotient_reaches(qout: Mapping[int, Optional[int]], a: int, b: int) -> bool:
 def quotient_non_reaching(qout: Mapping[int, Optional[int]],
                           B: frozenset[int]) -> int:
     """find_non_reaching on a quotient forest."""
-    return _non_reaching_in_map(qout, B)
+    return _non_reaching(lambda a, b: quotient_reaches(qout, a, b), B)
 
 
 def upsilon(F: Forest, S: Optional[frozenset[int]] = None) -> Fraction:

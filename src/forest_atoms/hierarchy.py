@@ -24,7 +24,6 @@ class HierarchyLevel:
     gap: Weight                     # Delta_k; INF at the first feasible level
     atoms: AtomFamily
     aggregation: tuple[int, ...]    # vertex index -> atom index
-    labeled_support: tuple[int, ...]
 
 
 def build_hierarchy(analysis: Analysis) -> list[HierarchyLevel]:
@@ -40,13 +39,11 @@ def build_hierarchy(analysis: Analysis) -> list[HierarchyLevel]:
             continue
         family = analysis.family(k)
         aggregation = tuple(family.atom_of(v) for v in range(analysis.graph.n))
-        support = tuple(i for i, lab in enumerate(family.labeled) if lab)
         levels.append(HierarchyLevel(
             k=k,
             gap=analysis.phi.gap(k),
             atoms=family,
             aggregation=aggregation,
-            labeled_support=support,
         ))
     # nesting + gap monotonicity are theorems; keep them as invariants
     for upper, lower in zip(levels, levels[1:]):
@@ -56,12 +53,6 @@ def build_hierarchy(analysis: Analysis) -> list[HierarchyLevel]:
         if not (upper.gap == INF or upper.gap > lower.gap):
             raise InvariantError("gaps must strictly decrease while finite")
     return levels
-
-
-def stochastic_support(level: HierarchyLevel) -> tuple[int, ...]:
-    """Atom indices on which the slow-time limit keeps its mass:
-    exactly the labeled atoms of the level."""
-    return level.labeled_support
 
 
 def from_rate_exponents(names, exponents) -> Digraph:

@@ -6,6 +6,12 @@ over the *complete* enumerated tie sets (plus seeded samples where a
 statement quantifies over arbitrary forests or subsets).  Failures are
 report entries carrying a replayable witness, never exceptions.
 
+A check site passes its witness as a closure over raw objects (vertex
+sets, forests, weights); ``_Battery.failed`` renders the first failure
+of each statement to JSON-ready form, so a passing check builds nothing.
+L6 and L7 compare the quotient of a tree partition against a block
+reachability table built from the forest's root paths alone.
+
 Statement ids:
   L1  arc replacement guard              L5  blocks vs maximal subtrees
   L2  three-atom placement               L6  quotient reachability
@@ -39,7 +45,7 @@ from .graph import (INF, Digraph, Forest, InputError, Weight, _acyclic,
                     out_neighborhood, quotient, quotient_non_reaching,
                     quotient_reaches, replace_arcs, restrict, rewrite_guard,
                     subtree, tree_partition, upsilon)
-from .io import graph_json
+from .io import _forest_json, graph_json
 
 STATEMENTS = (
     ["L%d" % i for i in range(1, 8)]
@@ -85,14 +91,6 @@ class VerificationReport:
                 for s, o in sorted(self.statements.items())
             },
         }
-
-
-def _names(graph: Digraph, S) -> list[str]:
-    return sorted(graph.names[v] for v in S)
-
-
-def _forest_dict(F: Forest) -> list[list[str]]:
-    return sorted([a, b] for a, b in F.arc_names())
 
 
 def _atom_assignments(arcs: IntArcs, atom: frozenset[int], labeled: bool,
@@ -162,9 +160,23 @@ class _Battery:
         o = self.outcomes[stmt]
         if o.status != COUNTEREXAMPLE:
             o.status = COUNTEREXAMPLE
-            o.witness = {"statement": stmt,
-                         "graph": graph_json(self.graph), **witness}
+            o.witness = {"statement": stmt, "graph": graph_json(self.graph),
+                         **{key: self._render(value)
+                            for key, value in witness.items()}}
         o.checks += 1
+
+    def _render(self, value):
+        """The JSON form of a witness value: vertex sets as sorted names,
+        forests as sorted name pairs, weights as exact strings."""
+        if isinstance(value, frozenset):
+            return sorted(self.graph.names[v] for v in value)
+        if isinstance(value, Forest):
+            return _forest_json(value)
+        if isinstance(value, (Fraction, float)):
+            return str(value)
+        if isinstance(value, (tuple, list)):
+            return [self._render(item) for item in value]
+        return value
 
     def check(self, stmt: str, ok: bool, witness_fn) -> None:
         if ok:
@@ -268,9 +280,8 @@ class _Battery:
             subs = {i: subtree(F, i) for i in range(self.graph.n)}
             for i, j in itertools.combinations(range(self.graph.n), 2):
                 Si, Sj = subs[i], subs[j]
-                witness = lambda: {
-                    "forest": _forest_dict(F),
-                    "i": self.graph.names[i], "j": self.graph.names[j]}
+                witness = lambda: dict(forest=F, i=self.graph.names[i],
+                                       j=self.graph.names[j])
                 # C1: intersecting subtrees share a root
                 self.check("C1", not (Si & Sj) or i in Sj or j in Si, witness)
                 # C2: subtrees are nested or disjoint
@@ -291,9 +302,9 @@ class _Battery:
                 except AssertionError:
                     pass
                 ok = bool(valid) and beta == valid[0]
-                self.check("C3", ok, lambda: {
-                    "forest": _forest_dict(F), "B": _names(self.graph, B),
-                    "returned": None if beta is None else self.graph.names[beta]})
+                self.check("C3", ok, lambda: dict(
+                    forest=F, B=B,
+                    returned=None if beta is None else self.graph.names[beta]))
 
     def _claim4(self, F: Forest) -> None:
         for D in self._sample_subsets(self.graph.vertex_set, limit=8, nonempty=True):
@@ -316,9 +327,8 @@ class _Battery:
                     break
                 node = t
                 path.append(node)
-            self.check("C4", tuple(path) == original, lambda: {
-                "forest": _forest_dict(F), "D": _names(self.graph, D),
-                "beta": self.graph.names[beta]})
+            self.check("C4", tuple(path) == original, lambda: dict(
+                forest=F, D=D, beta=self.graph.names[beta]))
 
     def _tree_partitions(self, F: Forest) -> None:
         extras = self._sample_subsets(self.graph.vertex_set - F.roots, limit=8)
@@ -331,33 +341,26 @@ class _Battery:
             for beta in sorted(A):
                 tb = subtree(F, beta)
                 ok = all(not (X & tb) or (X & tb) == X for X in blocks)
-                self.check("L5", ok, lambda: {
-                    "forest": _forest_dict(F), "A": _names(self.graph, A),
-                    "beta": self.graph.names[beta]})
+                self.check("L5", ok, lambda: dict(
+                    forest=F, A=A, beta=self.graph.names[beta]))
+            # block a reaches block b when the root path of a vertex of a
+            # meets b; built from F alone, so L6 and L7 test the quotient
+            # against a computation that shares none of its code
+            reach: dict[int, set[int]] = {a: set() for a in A}
+            for u in range(self.graph.n):
+                reach[P.block_of(u)].update(map(P.block_of, F.root_path(u)))
             # L6: quotient reachability == block-level reachability
             qout = quotient(F, P)
-            ok6 = True
-            for a, b in itertools.permutations(sorted(A), 2):
-                block_reach = any(F.reaches(u, v)
-                                  for u in P.blocks[a] for v in P.blocks[b])
-                if quotient_reaches(qout, a, b) != block_reach:
-                    ok6 = False
-                    break
-            self.check("L6", ok6, lambda: {
-                "forest": _forest_dict(F), "A": _names(self.graph, A)})
+            ok6 = all(quotient_reaches(qout, a, b) == (b in reach[a])
+                      for a, b in itertools.permutations(sorted(A), 2))
+            self.check("L6", ok6, lambda: dict(forest=F, A=A))
             # L7: in any subfamily of blocks some block reaches no other
             for B in self._sample_subsets(A, limit=8, nonempty=True):
                 if len(B) < 2:
                     continue
                 beta = quotient_non_reaching(qout, B)
-                ok7 = beta in B and not any(
-                    F.reaches(u, v)
-                    for u in P.blocks[beta]
-                    for other in B if other != beta
-                    for v in P.blocks[other])
-                self.check("L7", ok7, lambda: {
-                    "forest": _forest_dict(F), "A": _names(self.graph, A),
-                    "B": _names(self.graph, B)})
+                ok7 = beta in B and (reach[beta] & B) <= {beta}
+                self.check("L7", ok7, lambda: dict(forest=F, A=A, B=B))
 
     def run_replacement_claims(self) -> None:
         pairs = list(itertools.combinations(range(len(self.pool)), 2))
@@ -367,9 +370,7 @@ class _Battery:
             for D in self._sample_subsets(self.graph.vertex_set, limit=10):
                 if rewrite_guard(F, G, D):
                     ok = self._memo_acyclic(replace_arcs(F, G, D))
-                    self.check("L1", ok, lambda: {
-                        "F": _forest_dict(F), "G": _forest_dict(G),
-                        "D": _names(self.graph, D)})
+                    self.check("L1", ok, lambda: dict(F=F, G=G, D=D))
             self._property1(F, G)
         self._property2()
 
@@ -382,9 +383,8 @@ class _Battery:
                     and self._memo_acyclic(replace_arcs(G, F, D)))
 
         def case(tag: str, D: frozenset[int]) -> None:
-            self.check("P1", both_forests(D), lambda: {
-                "case": tag, "F": _forest_dict(F), "G": _forest_dict(G),
-                "D": _names(self.graph, D)})
+            self.check("P1", both_forests(D),
+                       lambda: dict(case=tag, F=F, G=G, D=D))
 
         for TF in comps_f:
             case("a", TF)
@@ -429,10 +429,8 @@ class _Battery:
                                       and self._in_tilde(q_out, n))
                             else:
                                 continue
-                            self.check("P2", ok, lambda: {
-                                "n": n, "m": m, "F": _forest_dict(F),
-                                "G": _forest_dict(G),
-                                "D": _names(self.graph, D)})
+                            self.check("P2", ok, lambda: dict(
+                                n=n, m=m, F=F, G=G, D=D))
 
     # -- algebra structure: P3-P8, L2 ---------------------------------
 
@@ -444,9 +442,8 @@ class _Battery:
             for a1, a2 in itertools.combinations(fam.atoms, 2):
                 ok = any(self._tree_of(F, a1) != self._tree_of(F, a2)
                          for F in tilde.forests)
-                self.check("P3", ok, lambda: {
-                    "k": k, "atom1": _names(self.graph, a1),
-                    "atom2": _names(self.graph, a2)})
+                self.check("P3", ok,
+                           lambda: dict(k=k, atom1=a1, atom2=a2))
             for trip in itertools.combinations(fam.atoms, 3):
                 self._lemma2(k, tilde, trip)
             if self.an.strict(k):
@@ -455,7 +452,7 @@ class _Battery:
             if k + 1 in levels:
                 for atom in self.fam(k).atoms:
                     self.check("P4", algebra_contains(self.fam(k + 1), atom),
-                               lambda: {"k": k, "atom": _names(self.graph, atom)})
+                               lambda: dict(k=k, atom=atom))
         self._property5()
 
     def _lemma2(self, k: int, tilde: MinForestSet, trip) -> None:
@@ -471,8 +468,8 @@ class _Battery:
                     if t[j] == t[l] and t[i] != t[j]:
                         kinds[i] += 1
         empty = sum(1 for c in kinds if c == 0)
-        self.check("L2", star > 0 or empty <= 1, lambda: {
-            "k": k, "atoms": [_names(self.graph, a) for a in trip]})
+        self.check("L2", star > 0 or empty <= 1,
+                   lambda: dict(k=k, atoms=trip))
 
     def _strict_counts(self, k: int, fam: AtomFamily, tilde: MinForestSet) -> None:
         self.check("P7", sum(fam.labeled) == k,
@@ -481,15 +478,13 @@ class _Battery:
         for F in tilde.forests:
             for tree in components(F):
                 inside = sum(1 for a in labeled if a <= tree)
-                self.check("P8", inside == 1, lambda: {
-                    "k": k, "forest": _forest_dict(F),
-                    "tree": _names(self.graph, tree)})
+                self.check("P8", inside == 1,
+                           lambda: dict(k=k, forest=F, tree=tree))
         for atom in fam.atoms:
             counts = {sum(1 for v in atom if F.out[v] is not None)
                       for F in tilde.forests}
-            self.check("P6", len(counts) == 1, lambda: {
-                "k": k, "atom": _names(self.graph, atom),
-                "counts": sorted(counts)})
+            self.check("P6", len(counts) == 1, lambda: dict(
+                k=k, atom=atom, counts=sorted(counts)))
 
     def _property5(self) -> None:
         for k in self.levels():
@@ -506,8 +501,8 @@ class _Battery:
                 lo = ({restrict(F, E).arcs for F in self.tilde(k - 1).forests}
                       if self.an.feasible(k - 1) else set())
                 hi = {restrict(F, E).arcs for F in self.tilde(k + 1).forests}
-                self.check("P5", lo <= mid and hi <= mid, lambda: {
-                    "k": k, "atom": _names(self.graph, E)})
+                self.check("P5", lo <= mid and hi <= mid,
+                           lambda: dict(k=k, atom=E))
 
     # -- measure: P9-P14 ----------------------------------------------
 
@@ -525,18 +520,15 @@ class _Battery:
                         self.failed("P9", vf.witness)
                         continue
                     # the forest found must really shield E
-                    self.check("P9", not in_neighborhood(H, E), lambda: {
-                        "k": k, "atom": _names(self.graph, E),
-                        "F": _forest_dict(F), "shield": _forest_dict(H)})
+                    self.check("P9", not in_neighborhood(H, E), lambda: dict(
+                        k=k, atom=E, F=F, shield=H))
             table = [tuple(upsilon(F, a) for a in fam.atoms)
                      for F in self.tsample(k)]
             self.check("P10", all(row == table[0] for row in table),
-                       lambda: {"k": k, "table": [[str(x) for x in r]
-                                                  for r in table]})
+                       lambda: dict(k=k, table=table))
             rho = table[0]
             self.check("P11", sum(rho, Fraction(0)) == tilde.weight,
-                       lambda: {"k": k, "rho": [str(x) for x in rho],
-                                "phi": str(tilde.weight)})
+                       lambda: dict(k=k, rho=rho, phi=tilde.weight))
             self._replacement_minimality(k, fam, tilde)
             self._lower_bounds(k, fam, tilde, rho)
 
@@ -556,18 +548,15 @@ class _Battery:
                 for A in elements:
                     out = replace_arcs(F, G, A)
                     if self._memo_acyclic(out):
-                        self.check("P12", self._in_tilde(out, k), lambda: {
-                            "k": k, "F": _forest_dict(F), "G": _forest_dict(G),
-                            "A": _names(self.graph, A)})
+                        self.check("P12", self._in_tilde(out, k),
+                                   lambda: dict(k=k, F=F, G=G, A=A))
             for A in elements:
                 if in_neighborhood(F, A):
                     continue
                 for G in self.tsample(k):
                     out = replace_arcs(F, G, A)
                     ok = self._memo_acyclic(out) and self._in_tilde(out, k)
-                    self.check("P13", ok, lambda: {
-                        "k": k, "F": _forest_dict(F), "G": _forest_dict(G),
-                        "A": _names(self.graph, A)})
+                    self.check("P13", ok, lambda: dict(k=k, F=F, G=G, A=A))
 
     def _lower_bounds(self, k: int, fam: AtomFamily, tilde: MinForestSet,
                       rho) -> None:
@@ -596,12 +585,10 @@ class _Battery:
             for weight, heads in _atom_assignments(self.arcs, atom, lab, limit):
                 # the witness forest: these arcs, every other vertex a root
                 self.check("P14", weight == limit and pattern(heads) in realized,
-                           lambda: {"k": k, "atom": _names(self.graph, atom),
-                                    "labeled": lab,
-                                    "forest": sorted(
-                                        [self.graph.names[v], self.graph.names[t]]
-                                        for v, t in zip(order, heads)
-                                        if t is not None)})
+                           lambda: dict(k=k, atom=atom, labeled=lab,
+                                        forest=Forest(self.graph, tuple(
+                                            dict(zip(order, heads)).get(v)
+                                            for v in range(self.graph.n)))))
 
     # -- arc structure of unlabeled atoms: L3, L4, Cor1, T2 -----------
 
@@ -619,21 +606,17 @@ class _Battery:
                     for G in self.tsample(k):
                         troot = self._tree_of(G, U)
                         away = sum(1 for h in heads if G.root_of(h) != troot)
-                        self.check("L3", away <= 1, lambda: {
-                            "k": k, "atom": _names(self.graph, U),
-                            "F": _forest_dict(F), "G": _forest_dict(G)})
+                        self.check("L3", away <= 1,
+                                   lambda: dict(k=k, atom=U, F=F, G=G))
                     for E, elab in zip(fam.atoms, fam.labeled):
                         if E == U:
                             continue
                         into = sum(1 for h in heads if h in E)
-                        self.check("Cor1", into <= 1, lambda: {
-                            "k": k, "U": _names(self.graph, U),
-                            "E": _names(self.graph, E), "F": _forest_dict(F)})
+                        self.check("Cor1", into <= 1,
+                                   lambda: dict(k=k, U=U, E=E, F=F))
                         if elab and into:
-                            self.check("T2", len(heads) == 1, lambda: {
-                                "k": k, "U": _names(self.graph, U),
-                                "M": _names(self.graph, E),
-                                "F": _forest_dict(F)})
+                            self.check("T2", len(heads) == 1,
+                                       lambda: dict(k=k, U=U, M=E, F=F))
             self._lemma4(k, fam, tilde)
 
     def _lemma4(self, k: int, fam: AtomFamily, tilde: MinForestSet) -> None:
@@ -649,14 +632,12 @@ class _Battery:
             for F in self.tsample(k):
                 cnt = sum(1 for v in U
                           if F.out[v] is not None and F.out[v] in target)
-                self.check("L4", cnt <= 1, lambda: {
-                    "k": k, "U": _names(self.graph, U),
-                    "E": _names(self.graph, E), "S": _names(self.graph, S),
-                    "F": _forest_dict(F)})
+                self.check("L4", cnt <= 1,
+                           lambda: dict(k=k, U=U, E=E, S=S, F=F))
 
     # -- components of restrictions: T3, T4/Prop2 ---------------------
 
-    def run_component_measure(self) -> None:
+    def run_restriction_components(self) -> None:
         for k in self.levels():
             if not self.an.strict(k):
                 continue
@@ -673,7 +654,7 @@ class _Battery:
     def _theorem3(self, k: int, tilde: MinForestSet, F: Forest,
                   X: frozenset[int]) -> None:
         wX = upsilon(F, X)
-        witness = {"k": k, "X": _names(self.graph, X), "F": _forest_dict(F)}
+        witness = dict(k=k, X=X, F=F)
         # part 1: some minimal forest shields X while keeping F's out-arcs
         shield = any(
             all(H.out[v] == F.out[v] for v in X) and not in_neighborhood(H, X)
@@ -696,14 +677,12 @@ class _Battery:
             ok = upsilon(G, X) >= wX
             if ok and upsilon(G, X) == wX:
                 ok = tuple(G.out[v] for v in order) in realized
-            self.check("T3", ok, lambda: dict(witness, part=3,
-                                              G=_forest_dict(G)))
+            self.check("T3", ok, lambda: dict(witness, part=3, G=G))
 
     def _detach(self, k: int, tilde: MinForestSet, F: Forest,
                 U: frozenset[int]) -> None:
         entries = in_neighborhood(F, U)
-        witness = {"k": k, "atom": _names(self.graph, U),
-                   "F": _forest_dict(F)}
+        witness = dict(k=k, atom=U, F=F)
         subtrees = [subtree(F, b) for b in sorted(entries)]
         D = frozenset().union(*subtrees) if subtrees else frozenset()
         self.check("Prop2", not (D & U), lambda: dict(witness, part="i"))
@@ -721,7 +700,7 @@ class _Battery:
               and not in_neighborhood(G, U)
               and len({G.root_of(v) for v in U}) == 1
               and self._in_tilde(G.out, k))
-        self.check("T4", ok, lambda: dict(witness, D=_names(self.graph, D)))
+        self.check("T4", ok, lambda: dict(witness, D=D))
         self.check("Prop2", ok, lambda: dict(witness, part="iii"))
 
     # -- the main theorems: T5, T5', T6, T7, T1/Prop1 -----------------
@@ -738,31 +717,26 @@ class _Battery:
                     sub = restrict(F, atom)
                     if not sub.is_tree():
                         all_trees = False
-                        self.failed("T5", {
-                            "k": k, "atom": _names(self.graph, atom),
-                            "F": _forest_dict(F)})
+                        self.failed("T5", dict(k=k, atom=atom, F=F))
                     else:
                         self.passed("T5")
                         roots_of_blocks.add(min(sub.local_roots()))
                 if all_trees:
                     P = tree_partition(F, frozenset(roots_of_blocks))
                     ok = frozenset(P.block_sets()) == fam.as_sets()
-                    self.check("T5prime", ok, lambda: {
-                        "k": k, "F": _forest_dict(F)})
+                    self.check("T5prime", ok, lambda: dict(k=k, F=F))
             if k >= 2 and self.an.feasible(k - 1):
                 for F in self.tilde(k - 1).forests:
                     for atom in fam.atoms:
-                        self.check("T6", restrict(F, atom).is_tree(), lambda: {
-                            "k": k, "atom": _names(self.graph, atom),
-                            "F": _forest_dict(F)})
+                        self.check("T6", restrict(F, atom).is_tree(),
+                                   lambda: dict(k=k, atom=atom, F=F))
             if not self.an.strict(k):
                 # T1 / Prop1: the restriction property persists at
                 # equality levels, and the algebras coincide upward
                 for F in tilde.forests:
                     for atom in fam.atoms:
-                        self.check("T1", restrict(F, atom).is_tree(), lambda: {
-                            "k": k, "atom": _names(self.graph, atom),
-                            "F": _forest_dict(F)})
+                        self.check("T1", restrict(F, atom).is_tree(),
+                                   lambda: dict(k=k, atom=atom, F=F))
                 if self.an.feasible(k + 1):
                     self.check("Prop1",
                                self.fam(k).as_sets() == self.fam(k + 1).as_sets(),
@@ -782,9 +756,8 @@ class _Battery:
         fam = self.fam(kf)
         for F in self.tilde(kf).forests:
             for atom in fam.atoms:
-                self.check("T7", restrict(F, atom).is_tree(), lambda: {
-                    "k": kf, "atom": _names(self.graph, atom),
-                    "F": _forest_dict(F)})
+                self.check("T7", restrict(F, atom).is_tree(),
+                           lambda: dict(k=kf, atom=atom, F=F))
 
     # -- P15-P17 -------------------------------------------------------
 
@@ -796,9 +769,8 @@ class _Battery:
             tilde = self.tilde(k)
             for M in fam.labeled_atoms():
                 for F in tilde.forests:
-                    self.check("P15", restrict(F, M).is_tree(), lambda: {
-                        "k": k, "atom": _names(self.graph, M),
-                        "F": _forest_dict(F)})
+                    self.check("P15", restrict(F, M).is_tree(),
+                               lambda: dict(k=k, atom=M, F=F))
             if k >= 2 and self.an.feasible(k - 1):
                 labeled = fam.labeled_atoms()
                 for F in self.tsample(k - 1):
@@ -807,15 +779,12 @@ class _Battery:
                             for v in self.graph.vertex_set - M)
                         and restrict(F, M).is_tree()
                         for P in tilde.forests for M in labeled)
-                    self.check("P16", ok, lambda: {
-                        "k": k, "F": _forest_dict(F)})
+                    self.check("P16", ok, lambda: dict(k=k, F=F))
                 for U in fam.unlabeled_atoms():
                     allowed = {restrict(G, U).arcs for G in tilde.forests}
                     for F in self.tilde(k - 1).forests:
                         self.check("P17", restrict(F, U).arcs in allowed,
-                                   lambda: {"k": k,
-                                            "atom": _names(self.graph, U),
-                                            "F": _forest_dict(F)})
+                                   lambda: dict(k=k, atom=U, F=F))
 
     # -- enumerator completeness --------------------------------------
 
@@ -863,12 +832,10 @@ class _Battery:
             phi = INF if best[k] == INF else Fraction(best[k], scale)
             ok = (enumerated[k] == counts[k] and tilde.weight == phi
                   and [F.out for F in tilde.forests] == ties[k])
-            self.check("ENUM", ok, lambda: {
-                "k": k, "enumerated": enumerated[k], "independent": counts[k],
-                "phi": str(tilde.weight), "independent_phi": str(phi),
-                "forests": [_forest_dict(F) for F in tilde.forests],
-                "independent_forests": [_forest_dict(Forest(self.graph, o))
-                                        for o in ties[k]]})
+            self.check("ENUM", ok, lambda: dict(
+                k=k, enumerated=enumerated[k], independent=counts[k],
+                phi=tilde.weight, independent_phi=phi, forests=tilde.forests,
+                independent_forests=[Forest(self.graph, o) for o in ties[k]]))
 
     # -----------------------------------------------------------------
 
@@ -878,7 +845,7 @@ class _Battery:
         self.run_algebra_structure()
         self.run_measure()
         self.run_arc_structure()
-        self.run_component_measure()
+        self.run_restriction_components()
         self.run_main_theorems()
         self.run_restriction_properties()
         self.run_enum_check()

@@ -23,8 +23,9 @@ import random
 from tests.conftest import ATO_ARCS, WOODY_ARCS
 
 MAIN_SPEC = EnsembleSpec(trials=500, seed=42, n_max=7, wmin=1, wmax=5)
-# sha256 of the MAIN_SPEC campaign document: pins the battery's RNG draw
-# order, every status and every checks count
+# sha256 of the MAIN_SPEC campaign document: pins every trial's graph and
+# every statement status.  Trial entries carry statuses only, no checks
+# counts; VERIFY_DIGEST in test_verification.py pins those.
 MAIN_DIGEST = "2124fe47afd941c768bedf56ee9487a8a6850df7afd600120971776ee42d6c4d"
 
 

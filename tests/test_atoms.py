@@ -6,11 +6,12 @@ import pytest
 
 from forest_atoms import (Analysis, Digraph, InfeasibleLevel, InputError,
                           VerificationFailure, algebra_contains,
-                          algebra_elements, atoms, component_measure,
-                          detach_incoming, find_shielded_forest,
-                          in_neighborhood, is_symmetric, measure, symmetrize)
+                          algebra_elements, atoms, detach_incoming,
+                          find_shielded_forest, in_neighborhood, is_symmetric,
+                          measure, symmetrize, verify)
 from forest_atoms.atoms import undirected_check
 from forest_atoms.enumeration import MinForestSet
+from forest_atoms.verification import VERIFIED
 from tests.conftest import random_graph
 
 
@@ -130,11 +131,12 @@ def test_detach_incoming(an_woody, g_woody):
                    if v not in D)
 
 
-def test_component_measure(an_woody, g_woody):
-    table = component_measure(g_woody, 2, an_woody.minimal[2],
-                              g_woody.vset(["beta", "eta"]))
-    for weights in table.values():
-        assert all(isinstance(w, Fraction) for w in weights)
+def test_component_out_weights_by_t3(g_woody):
+    # T3 part 2: every component of F|_U of an unlabeled atom U carries
+    # the same out-weight in all minimal forests; {beta, eta} is one at k=2
+    report = verify(g_woody, upto_k=2, seed=0)
+    assert report.statements["T3"].status == VERIFIED
+    assert report.statements["T3"].checks > 0
 
 
 def test_symmetrize(g_ato):

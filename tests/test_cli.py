@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes and emitted artifacts."""
 
+import importlib
 import json
 
 import pytest
@@ -64,6 +65,15 @@ def test_atoms(ato_file, capsys):
     assert "rho: 3 0" in out
 
 
+def test_invariant_failure_exits_one(ato_file, capsys, monkeypatch):
+    # the package's atoms() function shadows the module of the same name
+    atoms_mod = importlib.import_module("forest_atoms.atoms")
+    monkeypatch.setattr(atoms_mod, "_refine", lambda partition, blocks: partition)
+    assert main(["atoms", ato_file, "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: invariant failed: atom split by a generator tree\n"
+
+
 def test_atoms_k_zero_usage(ato_file, capsys):
     assert main(["atoms", ato_file, "--k", "0"]) == 2
 
@@ -104,6 +114,26 @@ def test_verify_random_campaign(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert len(doc["results"]) == 12
+
+
+def test_verify_random_summary_line(capsys):
+    spec = "n=4,trials=12,seed=42"
+    assert main(["verify", "--random", spec]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert main(["verify", "--random", spec, "--json", "--quiet"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    merged = {}
+    for entry in doc["results"]:
+        for stmt, status in entry["statements"].items():
+            merged.setdefault(stmt, set()).add(status)
+    counts = dict.fromkeys(["verified", "not-applicable", "counterexample"], 0)
+    for seen in merged.values():
+        worst = ("counterexample" if "counterexample" in seen
+                 else "verified" if "verified" in seen else "not-applicable")
+        counts[worst] += 1
+    assert line == ("trials: 12  statements verified: {verified}, "
+                    "not-applicable: {not-applicable}, "
+                    "counterexamples: {counterexample}").format_map(counts)
 
 
 def test_verify_random_bad_spec(capsys):

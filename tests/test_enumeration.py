@@ -168,15 +168,13 @@ import importlib
 
 from forest_atoms import (INF, Analysis, Digraph, InvariantError,
                           MinForestSet, PhiSequence, atoms, build_hierarchy,
-                          component_measure, measure)
+                          measure)
 
 # the package's atoms() function shadows the module of the same name
 atoms_mod = importlib.import_module("forest_atoms.atoms")
 ato = Digraph.from_arcs([("b", "a", 1), ("a", "c", 2), ("b", "d", 2),
                          ("c", "b", 3)])
 an = Analysis.compute(ato)
-# two tied 2-forests, a->c and b->c, with different out-weights on {a}
-fork = Digraph.from_arcs([("a", "c", 1), ("b", "c", 1)])
 
 
 def unrefined_atoms():
@@ -210,8 +208,6 @@ cases = {
     "gap": lambda: PhiSequence((INF, INF, 0)).gap(1),
     "atom split": unrefined_atoms,
     "measure sum": wrong_phi_measure,
-    "component measure": lambda: component_measure(
-        fork, 2, Analysis.compute(fork).minimal[2], fork.vset(["a"])),
     "nesting": unnested_hierarchy,
     "gap order": unordered_gaps,
 }
@@ -233,7 +229,7 @@ def test_invariants_survive_optimize_flag():
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "gap raised", "atom split raised", "measure sum raised",
-        "component measure raised", "nesting raised", "gap order raised"]
+        "nesting raised", "gap order raised"]
 
 
 def test_strictness(an_ato, an_woody):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from forest_atoms import (INF, Analysis, Digraph, build_hierarchy,
-                          from_rate_exponents, stochastic_support)
+                          from_rate_exponents)
 
 
 def test_golden_hierarchy(an_ato):
@@ -24,8 +24,8 @@ def test_woody_hierarchy(an_woody):
     gaps = [lv.gap for lv in levels[1:]]
     assert gaps == sorted(gaps, reverse=True)
     # support: only labeled atoms keep mass
-    assert stochastic_support(levels[0]) == (0, 2)
-    assert stochastic_support(levels[1]) == (0, 1, 2)
+    assert levels[0].atoms.labeled == (True, False, True)
+    assert levels[1].atoms.labeled == (True, True, True)
 
 
 def test_empty_arc_graph_single_level():

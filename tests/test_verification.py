@@ -1,13 +1,19 @@
 """The statement battery: clean graphs verify, corrupted oracles fail."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from forest_atoms import (Analysis, Digraph, Forest, MinForestSet,
+from forest_atoms import (Analysis, Digraph, Forest, InputError, MinForestSet,
                           corrupted_verify, enumerate_forests, upsilon, verify)
+from forest_atoms import verification
+from forest_atoms.campaign import (CAMPAIGN_BUDGETS, EnsembleSpec,
+                                   random_digraph, trial_seed)
 from forest_atoms.enumeration import _integer_arcs
+from forest_atoms.io import dump_document
 from forest_atoms.verification import (COUNTEREXAMPLE, NOT_APPLICABLE,
                                        STATEMENTS, VERIFIED, _atom_assignments)
 from tests.conftest import ATO_ARCS, WOODY_ARCS, random_graph, signed_graphs
@@ -86,6 +92,62 @@ def test_corrupted_oracle_every_level(g_woody):
         assert report.statements["ENUM"].status == COUNTEREXAMPLE
 
 
+# -- L6/L7 against a wrong quotient ----------------------------------------
+
+def test_wrong_quotient_caught_by_l6(g_woody, monkeypatch):
+    quotient = verification.quotient
+
+    def misdirected(F, P):
+        # send the first non-root block to a root block it does not enter
+        qout = quotient(F, P)
+        roots = [b for b in sorted(qout) if qout[b] is None]
+        for a in sorted(qout):
+            wrong = [r for r in roots if qout[a] not in (None, r)]
+            if wrong:
+                qout[a] = wrong[0]
+                break
+        return qout
+
+    monkeypatch.setattr(verification, "quotient", misdirected)
+    report = verify(g_woody, seed=0)
+    assert report.statements["L6"].status == COUNTEREXAMPLE
+
+
+def test_reaching_block_caught_by_l7(g_woody, monkeypatch):
+    non_reaching = verification.quotient_non_reaching
+
+    def reaching(qout, B):
+        # a block of B that reaches another one, when there is such
+        for b in sorted(B):
+            if any(verification.quotient_reaches(qout, b, o)
+                   for o in B if o != b):
+                return b
+        return non_reaching(qout, B)
+
+    monkeypatch.setattr(verification, "quotient_non_reaching", reaching)
+    report = verify(g_woody, seed=0)
+    assert report.statements["L7"].status == COUNTEREXAMPLE
+    assert report.statements["L6"].status == VERIFIED
+
+
+def test_cut_quotient_caught_by_l7(g_woody, monkeypatch):
+    quotient = verification.quotient
+
+    def cut(F, P):
+        # a non-root block without its quotient arc reaches nothing there,
+        # so the search may return it while it reaches its target in F
+        qout = quotient(F, P)
+        for a in sorted(qout):
+            if qout[a] is not None:
+                qout[a] = None
+                break
+        return qout
+
+    monkeypatch.setattr(verification, "quotient", cut)
+    report = verify(g_woody, seed=0)
+    assert report.statements["L7"].status == COUNTEREXAMPLE
+
+
 def test_report_serialization(g_ato):
     doc = verify(g_ato, seed=0).to_dict()
     assert doc["ok"] is True
@@ -93,6 +155,56 @@ def test_report_serialization(g_ato):
     for entry in doc["statements"].values():
         assert entry["status"] in (VERIFIED, NOT_APPLICABLE, COUNTEREXAMPLE)
         assert isinstance(entry["checks"], int)
+
+
+# -- byte pins on whole reports -------------------------------------------
+
+# sha256 over the dumped reports of test_verify_documents_pinned: every
+# status, checks count and therefore the battery's RNG draw order
+VERIFY_DIGEST = "25691351091612fdb8ea08a507fefc507442eee8a42bbe7eddbcad02f2b884e1"
+# sha256 over the dumped reports of test_corrupted_reports_pinned, in
+# which 21 statements fail: the bytes of their witnesses
+CORRUPTED_DIGEST = "3c4356514ecebc4b87a77f202af6137ebc50c97f160314c16e5f5646eeb223cf"
+
+
+def _acceptance_graphs(count: int, n_max: int):
+    """(trial seed, graph) of the first trials of the seed-42 ensemble."""
+    spec = EnsembleSpec(trials=count, seed=42, n_max=n_max)
+    for i in range(count):
+        ts = trial_seed(42, i)
+        yield ts, random_digraph(random.Random(ts), spec)
+
+
+def _digest(reports) -> str:
+    h = hashlib.sha256()
+    for report in reports:
+        h.update(dump_document(report.to_dict()).encode())
+    return h.hexdigest()
+
+
+def test_verify_documents_pinned(g_ato, g_woody):
+    reports = [verify(g, seed=0) for g in (g_ato, g_woody)]
+    reports += [verify(g, seed=ts, **CAMPAIGN_BUDGETS)
+                for ts, g in _acceptance_graphs(40, 7)]
+    assert _digest(reports) == VERIFY_DIGEST
+
+
+def _corrupted_reports(graphs):
+    """corrupted_verify at every level that has a non-minimal forest."""
+    for g in graphs:
+        for level in Analysis.compute(g).feasible_levels():
+            try:
+                yield corrupted_verify(g, level)
+            except InputError:
+                continue
+
+
+def test_corrupted_reports_pinned(g_ato, g_woody):
+    graphs = [g_ato, g_woody] + [g for _, g in _acceptance_graphs(20, 6)]
+    reports = list(_corrupted_reports(graphs))
+    failing = set().union(*(r.counterexamples for r in reports))
+    assert len(failing) == 21
+    assert _digest(reports) == CORRUPTED_DIGEST
 
 
 def test_unit_weight_theorem():
