@@ -38,7 +38,7 @@ def show(name, arcs):
               f"rho: {' '.join(str(x) for x in meas.values)}")
     print("hierarchy levels:",
           [(lv.k, weight_to_json(lv.gap)) for lv in build_hierarchy(an)])
-    report = verify(g, seed=0)
+    report = verify(an, seed=0)
     bad = report.counterexamples
     print("battery:", "ok" if report.ok else f"COUNTEREXAMPLES {bad}")
     print()

@@ -3,16 +3,15 @@ subset algebras and atoms generated by their tree partitions, and the
 derived metastable-timescale hierarchy."""
 
 from .analysis import Analysis
-from .atoms import (AtomFamily, AtomMeasure, VerificationFailure,
-                    algebra_contains, algebra_elements, atoms,
-                    detach_incoming, find_shielded_forest, is_symmetric,
-                    measure, symmetrize, undirected_check)
+from .atoms import (AtomFamily, AtomMeasure, algebra_contains,
+                    algebra_elements, atoms, detach_incoming,
+                    find_shielded_forest, is_symmetric, measure, symmetrize,
+                    undirected_check)
 from .campaign import EnsembleSpec, random_digraph, run_campaign
 from .enumeration import (DEFAULT_CAP, EQUAL, STRICT, UNDEFINED, CapExceeded,
                           InfeasibleLevel, InvariantError, MinForestSet,
                           PhiSequence, all_minimal_forests, convexity_profile,
-                          count_forests, enumerate_forests, is_strict_level,
-                          minimal_forests, phi_sequence)
+                          count_forests, enumerate_forests)
 from .graph import (INF, Digraph, Forest, InputError, Subgraph, TreePartition,
                     components, find_non_reaching, in_neighborhood, is_forest,
                     rewrite_guard, out_neighborhood, quotient,

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import atoms as atoms_mod
-from .enumeration import (DEFAULT_CAP, InfeasibleLevel, MinForestSet,
-                          PhiSequence, all_minimal_forests, convexity_profile,
-                          is_strict_level)
+from .enumeration import (DEFAULT_CAP, STRICT, InfeasibleLevel,
+                          MinForestSet, PhiSequence, all_minimal_forests,
+                          convexity_profile)
 from .graph import Digraph
 
 
@@ -39,7 +39,15 @@ class Analysis:
         return [k for k in range(1, self.graph.n + 1) if self.feasible(k)]
 
     def strict(self, k: int) -> bool:
-        return is_strict_level(self.phi, self.profile, k)
+        """Strict-inequality test used as the hypothesis of most statements.
+
+        Interior k reads the profile; k = N counts as strict (the algebra
+        is Boolean there and every strict-level statement holds trivially).
+        Infeasible levels are never strict.
+        """
+        if not self.feasible(k):
+            return False
+        return k == self.phi.n or self.profile[k - 1] == STRICT
 
     def family(self, k: int) -> atoms_mod.AtomFamily:
         if k not in self._families:

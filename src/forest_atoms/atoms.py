@@ -149,22 +149,12 @@ def measure(graph: Digraph, k: int, tilde: MinForestSet,
     return AtomMeasure(k, values, well, table)
 
 
-class VerificationFailure(AssertionError):
-    """A battery statement failed on a concrete scenario (a counterexample)."""
-
-    def __init__(self, statement: str, witness: dict):
-        super().__init__(f"counterexample to {statement}")
-        self.statement = statement
-        self.witness = witness
-
-
 def find_shielded_forest(tilde: MinForestSet, E: frozenset[int],
-                         F: Forest) -> Forest:
+                         F: Forest) -> Optional[Forest]:
     """A minimal forest H with no arcs entering E and F's out-arcs on E.
 
     Existence is guaranteed at strict levels; found by scanning the
-    complete tie set.  Absence is a counterexample, not an exception
-    path of normal operation.
+    complete tie set.  None means there is none: a counterexample to P9.
     """
     want = tuple(F.out[v] for v in sorted(E))
     for H in tilde.forests:
@@ -172,36 +162,31 @@ def find_shielded_forest(tilde: MinForestSet, E: frozenset[int],
             continue
         if not in_neighborhood(H, E):
             return H
-    raise VerificationFailure("P9", {
-        "k": tilde.k,
-        "set": sorted(E),
-        "forest": F.arc_names(),
-    })
+    return None
 
 
-def detach_incoming(graph: Digraph, k: int, tilde: MinForestSet,
-                    F: Forest, U: frozenset[int]) -> tuple[frozenset[int], Forest]:
+def detach_incoming(tilde: MinForestSet, F: Forest, U: frozenset[int]
+                    ) -> Optional[tuple[frozenset[int], Forest]]:
     """Detach from F everything that reaches the atom U.
 
     D is the union of the maximal subtrees rooted at the tails of arcs
     entering U in F.  Returns (D, G) where G is a minimal forest that
-    agrees with F outside D and has no arcs entering U.
+    agrees with F outside D and has no arcs entering U, or None when the
+    construction fails: a counterexample to T4.
     """
     entries = in_neighborhood(F, U)
     if not entries:
         return frozenset(), F
-    subtrees = [subtree(F, b) for b in sorted(entries)]
-    D = frozenset().union(*subtrees)
+    D = frozenset().union(*(subtree(F, b) for b in entries))
     H = find_shielded_forest(tilde, U, F)
-    out = replace_arcs(F, H, D)
-    witness = {"k": k, "atom": sorted(U), "D": sorted(D),
-               "forest": F.arc_names()}
+    if H is None:
+        return None
     try:
-        G = Forest(graph, out)
+        G = Forest(F.graph, replace_arcs(F, H, D))
     except InputError:
-        raise VerificationFailure("T4", witness) from None
-    if G.k != k or G.weight != tilde.weight or in_neighborhood(G, U):
-        raise VerificationFailure("T4", witness)
+        return None
+    if G.k != tilde.k or G.weight != tilde.weight or in_neighborhood(G, U):
+        return None
     return D, G
 
 

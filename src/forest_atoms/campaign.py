@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .analysis import Analysis
 from .graph import Digraph
 from .io import SCHEMA_VERSION, dump_document, graph_json
 from .verification import verify
@@ -82,7 +83,7 @@ def run_trial(args: tuple[EnsembleSpec, int]) -> dict:
     spec, index = args
     ts = trial_seed(spec.seed, index)
     graph = random_digraph(random.Random(ts), spec)
-    report = verify(graph, seed=ts, **CAMPAIGN_BUDGETS)
+    report = verify(Analysis.compute(graph), seed=ts, **CAMPAIGN_BUDGETS)
     entry = {
         "trial": index,
         "graph": graph_json(graph),

@@ -4,7 +4,11 @@ Subcommands: ``phi``, ``atoms``, ``verify``, ``hierarchy``.
 
 Exit codes: 0 ok, 1 counterexample found or internal invariant failed,
 2 parse/usage error, 3 enumeration cap exceeded, 4 infeasible level,
-5 i/o error.
+5 i/o error.  ``verify --self-test`` exits 0 when the battery catches the
+corrupted oracle and 1 when it does not.
+
+With ``--json`` the document is all that goes to stdout; the human lines
+go to stderr.
 """
 
 from __future__ import annotations
@@ -45,8 +49,10 @@ class _CliError(Exception):
 
 
 def _say(args, *parts) -> None:
-    if not getattr(args, "quiet", False):
-        print(*parts)
+    """A human line: on stdout, or on stderr when stdout holds a --json
+    document."""
+    if not args.quiet:
+        print(*parts, file=sys.stderr if args.json else sys.stdout)
 
 
 def _load(args) -> Digraph:
@@ -158,17 +164,15 @@ def cmd_verify(args) -> int:
         report = corrupted_verify(graph, level=2)
         witness_path = args.witness or "self-test.witness.json"
         if report.ok:
-            # the battery failed to notice the corruption: no
-            # counterexample, hence exit 0 -- callers treat a clean exit
-            # from --self-test as the failure signal
+            # the battery missed the corruption: the self-test fails
             _say(args, "self-test FAILED: corrupted oracle went undetected")
-            return EXIT_OK
+            return EXIT_COUNTEREXAMPLE
         _write_witnesses(witness_path, [report.statements[s].witness
                                         for s in report.counterexamples])
         _say(args, "self-test ok: corrupted oracle detected "
                    f"({', '.join(report.counterexamples)}); "
                    f"witnesses in {witness_path}")
-        return EXIT_COUNTEREXAMPLE
+        return EXIT_OK
 
     if args.random:
         spec = _parse_random(args.random)
@@ -198,8 +202,7 @@ def cmd_verify(args) -> int:
                         "verify needs an input file, --random or --self-test")
     graph = _load(args)
     analysis = _analyze(graph, args)
-    report = verify(graph, upto_k=args.k, cap=args.cap, seed=args.seed,
-                    _analysis=analysis)
+    report = verify(analysis, upto_k=args.k, seed=args.seed)
     _say(args, _summary_line([o.status for o in report.statements.values()]))
     if args.json:
         hierarchy = build_hierarchy(analysis)
@@ -229,8 +232,7 @@ def _replay(args) -> int:
     report = None
     if "verification" in doc:
         seed = doc["verification"].get("seed", 0)
-        report = dict(verify(graph, cap=args.cap, seed=seed,
-                             _analysis=analysis).to_dict(), seed=seed)
+        report = dict(verify(analysis, seed=seed).to_dict(), seed=seed)
     fresh = analysis_document(analysis, hierarchy if "hierarchy" in doc else None,
                               report=report)
     if dump_document(fresh) == dump_document(doc):

@@ -7,11 +7,11 @@ available out-arc or "root", with incremental contour detection and
 root-count pruning; it serves three callers:
 
 * ``enumerate_forests`` and ``count_forests`` walk every forest;
-* ``minimal_forests`` and ``all_minimal_forests`` run one
-  branch-and-bound search per level k on integer-scaled weights.  A
-  branch is cut when its weight plus a lower bound on the arcs still to
-  come exceeds the best k-forest found so far.  The cut is strict, so
-  every forest that ties the optimum is still reached.
+* ``all_minimal_forests`` runs one branch-and-bound search per level k
+  on integer-scaled weights.  A branch is cut when its weight plus a
+  lower bound on the arcs still to come exceeds the best k-forest found
+  so far.  The cut is strict, so every forest that ties the optimum is
+  still reached.
 
 Both walks visit forests in canonical order, so tie sets come out
 canonically ordered without sorting.  The enumeration cap keeps
@@ -220,6 +220,11 @@ class PhiSequence:
 
     values: tuple[Weight, ...]
 
+    def __post_init__(self):
+        if self.values[-1] != 0:
+            raise InvariantError(
+                f"phi^N = {self.values[-1]}, but the empty forest weighs 0")
+
     @property
     def n(self) -> int:
         return len(self.values) - 1
@@ -238,12 +243,13 @@ class PhiSequence:
         return 0 < k <= self.n and self.values[k] != INF
 
 
-def _tie_sets(graph: Digraph, levels) -> dict[int, MinForestSet]:
-    """Branch-and-bound search for the tie set of each level in ``levels``."""
+def all_minimal_forests(graph: Digraph, cap: int = DEFAULT_CAP) -> dict[int, MinForestSet]:
+    """Minimum-weight tie sets for every k, one bounded search per level."""
+    _check_cap(graph, cap)
     scale, arcs = _integer_arcs(graph)
     lower = _lower_bounds(arcs)
     result = {}
-    for k in levels:
+    for k in range(1, graph.n + 1):
         best: Optional[int] = None
         ties: list[tuple[Optional[int], ...]] = []
 
@@ -260,33 +266,6 @@ def _tie_sets(graph: Digraph, levels) -> dict[int, MinForestSet]:
                      MinForestSet(k, Fraction(best, scale),
                                   tuple(Forest(graph, o) for o in ties)))
     return result
-
-
-def all_minimal_forests(graph: Digraph, cap: int = DEFAULT_CAP) -> dict[int, MinForestSet]:
-    """Minimum-weight tie sets for every k, one bounded search per level."""
-    _check_cap(graph, cap)
-    return _tie_sets(graph, range(1, graph.n + 1))
-
-
-def minimal_forests(graph: Digraph, k: int, cap: int = DEFAULT_CAP) -> MinForestSet:
-    """The level-k tie set, searching level k only."""
-    if not 1 <= k <= graph.n:
-        raise ValueError(f"component count {k} outside 1..{graph.n}")
-    _check_cap(graph, cap)
-    return _tie_sets(graph, [k])[k]
-
-
-def phi_sequence(graph: Digraph, cap: int = DEFAULT_CAP) -> PhiSequence:
-    """Exact phi^k for all k; phi^0 = inf, phi^N = 0 (the empty forest)."""
-    sets = all_minimal_forests(graph, cap)
-    values: list[Weight] = [INF]
-    for k in range(1, graph.n + 1):
-        values.append(sets[k].weight)
-    phi = PhiSequence(tuple(values))
-    if phi.values[graph.n] != 0:
-        raise InvariantError(
-            f"phi^N = {phi.values[graph.n]}, but the empty forest weighs 0")
-    return phi
 
 
 def convexity_profile(phi: PhiSequence) -> tuple[str, ...]:
@@ -313,17 +292,3 @@ def convexity_profile(phi: PhiSequence) -> tuple[str, ...]:
                 f"convexity violated at k = {k}: {lhs} < {rhs}")
         markers.append(STRICT if lhs > rhs else EQUAL)
     return tuple(markers)
-
-
-def is_strict_level(phi: PhiSequence, profile: tuple[str, ...], k: int) -> bool:
-    """Strict-inequality test used as the hypothesis of most statements.
-
-    Interior k reads the profile; k = N counts as strict (the algebra
-    is Boolean there and every strict-level statement holds trivially).
-    Infeasible levels are never strict.
-    """
-    if not phi.feasible(k):
-        return False
-    if k == phi.n:
-        return True
-    return profile[k - 1] == STRICT

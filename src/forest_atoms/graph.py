@@ -470,19 +470,20 @@ def rewrite_guard(F: Forest, G: Forest, D: frozenset[int]) -> bool:
     return not any(F.reaches(s, t) for s in sources for t in targets)
 
 
-def _non_reaching(reaches, B: frozenset[int]) -> int:
-    """The smallest b of B from which ``reaches`` finds no other member."""
+def _non_reaching(reaches, B: frozenset[int]) -> Optional[int]:
+    """The smallest b of B from which ``reaches`` finds no other member,
+    or None when every member reaches another (B spans a contour)."""
     for b in sorted(B):
         if not any(reaches(b, other) for other in B if other != b):
             return b
-    raise AssertionError("no non-reaching vertex found; B spans a contour?")
+    return None
 
 
-def find_non_reaching(F: Forest, B: frozenset[int]) -> int:
+def find_non_reaching(F: Forest, B: frozenset[int]) -> Optional[int]:
     """A vertex of B from which no other vertex of B is reachable in F.
 
-    Existence is guaranteed inside a tree; ties break to the smallest
-    vertex index.
+    Existence is guaranteed in a forest, so None means a broken
+    reachability test; ties break to the smallest vertex index.
     """
     if not B:
         raise InputError("B must be nonempty")
@@ -557,7 +558,7 @@ def quotient_reaches(qout: Mapping[int, Optional[int]], a: int, b: int) -> bool:
 
 
 def quotient_non_reaching(qout: Mapping[int, Optional[int]],
-                          B: frozenset[int]) -> int:
+                          B: frozenset[int]) -> Optional[int]:
     """find_non_reaching on a quotient forest."""
     return _non_reaching(lambda a, b: quotient_reaches(qout, a, b), B)
 

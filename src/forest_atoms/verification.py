@@ -35,11 +35,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .analysis import Analysis
-from .atoms import (AtomFamily, VerificationFailure, algebra_contains,
-                    algebra_elements, detach_incoming, find_shielded_forest)
-from .enumeration import (DEFAULT_CAP, EQUAL, IntArcs, MinForestSet,
-                          _integer_arcs, _lower_bounds, _search,
-                          enumerate_forests)
+from .atoms import (AtomFamily, algebra_contains, algebra_elements,
+                    detach_incoming, find_shielded_forest)
+from .enumeration import (EQUAL, IntArcs, MinForestSet, _integer_arcs,
+                          _lower_bounds, _search)
 from .graph import (INF, Digraph, Forest, InputError, Weight, _acyclic,
                     components, find_non_reaching, in_neighborhood,
                     out_neighborhood, quotient, quotient_non_reaching,
@@ -58,6 +57,9 @@ STATEMENTS = (
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 NOT_APPLICABLE = "not-applicable"
+
+#: Most tie-set forests an outer for-all loop visits per level.
+MAX_TIE = 10
 
 
 @dataclass
@@ -131,14 +133,13 @@ class _Battery:
 
     def __init__(self, analysis: Analysis, rng: random.Random,
                  max_pool: int, max_subsets: int, enum_budget: int,
-                 upto_k: Optional[int] = None, max_tie: int = 10):
+                 upto_k: Optional[int] = None):
         self.an = analysis
         self.graph = analysis.graph
         self.scale, self.arcs = _integer_arcs(self.graph)
         self.rng = rng
         self.max_subsets = max_subsets
         self.upto_k = upto_k
-        self.max_tie = max_tie
         self._tsamples: dict[int, tuple[Forest, ...]] = {}
         self._tilde_outs: dict[int, frozenset] = {}
         self._realized_outs: dict[tuple, set] = {}
@@ -150,11 +151,11 @@ class _Battery:
 
     # -- bookkeeping -------------------------------------------------
 
-    def passed(self, stmt: str, n: int = 1) -> None:
+    def passed(self, stmt: str) -> None:
         o = self.outcomes[stmt]
         if o.status != COUNTEREXAMPLE:
             o.status = VERIFIED
-        o.checks += n
+        o.checks += 1
 
     def failed(self, stmt: str, witness: dict) -> None:
         o = self.outcomes[stmt]
@@ -245,18 +246,18 @@ class _Battery:
         return self.an.minimal[k]
 
     def tsample(self, k: int) -> tuple[Forest, ...]:
-        """At most max_tie forests of the level-k tie set.
+        """At most MAX_TIE forests of the level-k tie set.
 
         Used only in outer for-all loops (checking fewer instances is
         sound); existence scans always walk the complete tie set.
         """
         if k not in self._tsamples:
             forests = self.tilde(k).forests
-            if len(forests) <= self.max_tie:
+            if len(forests) <= MAX_TIE:
                 self._tsamples[k] = forests
             else:
                 idx = sorted(self.rng.sample(range(len(forests)),
-                                             self.max_tie))
+                                             MAX_TIE))
                 self._tsamples[k] = tuple(forests[i] for i in idx)
         return self._tsamples[k]
 
@@ -294,13 +295,9 @@ class _Battery:
     def _claim3(self, F: Forest) -> None:
         for tree in components(F):
             for B in self._sample_subsets(tree, limit=12, nonempty=True):
-                beta = None
                 valid = [b for b in sorted(B)
                          if not any(F.reaches(b, o) for o in B if o != b)]
-                try:
-                    beta = find_non_reaching(F, B)
-                except AssertionError:
-                    pass
+                beta = find_non_reaching(F, B)
                 ok = bool(valid) and beta == valid[0]
                 self.check("C3", ok, lambda: dict(
                     forest=F, B=B,
@@ -514,14 +511,12 @@ class _Battery:
             tilde = self.tilde(k)
             for F in self.tsample(k):
                 for E in fam.atoms:
-                    try:
-                        H = find_shielded_forest(tilde, E, F)
-                    except VerificationFailure as vf:
-                        self.failed("P9", vf.witness)
-                        continue
-                    # the forest found must really shield E
-                    self.check("P9", not in_neighborhood(H, E), lambda: dict(
-                        k=k, atom=E, F=F, shield=H))
+                    # some minimal forest keeps F's out-arcs on E and
+                    # shields it; the one found must really do so
+                    H = find_shielded_forest(tilde, E, F)
+                    self.check("P9", H is not None
+                               and not in_neighborhood(H, E),
+                               lambda: dict(k=k, atom=E, F=F))
             table = [tuple(upsilon(F, a) for a in fam.atoms)
                      for F in self.tsample(k)]
             self.check("P10", all(row == table[0] for row in table),
@@ -689,11 +684,11 @@ class _Battery:
         pairwise = all(not (a & b)
                        for a, b in itertools.combinations(subtrees, 2))
         self.check("Prop2", pairwise, lambda: dict(witness, part="ii"))
-        try:
-            D2, G = detach_incoming(self.graph, k, tilde, F, U)
-        except VerificationFailure as vf:
-            self.failed("T4", vf.witness)
+        detached = detach_incoming(tilde, F, U)
+        if detached is None:
+            self.failed("T4", dict(witness, D=D))
             return
+        D2, G = detached
         ok = (D2 == D
               and all(G.out[v] == F.out[v] for v in range(self.graph.n)
                       if v not in D)
@@ -852,41 +847,45 @@ class _Battery:
         return self.outcomes
 
 
-def verify(graph: Digraph, upto_k: Optional[int] = None,
-           cap: int = DEFAULT_CAP, seed: int = 0,
+def verify(analysis: Analysis, upto_k: Optional[int] = None, seed: int = 0,
            max_pool: int = 10, max_subsets: int = 24,
-           enum_budget: int = 60000,
-           _analysis: Optional[Analysis] = None) -> VerificationReport:
-    """Check every applicable statement against the enumerated tie sets.
+           enum_budget: int = 60000) -> VerificationReport:
+    """Check every applicable statement against the analysis's tie sets.
 
     ``upto_k`` bounds the levels examined (default: all).  Sampled
     quantifiers (arbitrary forests, subsets D) are driven by ``seed``
     and are deterministic.  Failures become report entries with
     replayable witnesses.
     """
-    analysis = _analysis if _analysis is not None else Analysis.compute(graph, cap)
     battery = _Battery(analysis, random.Random(seed), max_pool, max_subsets,
                        enum_budget, upto_k=upto_k)
-    return VerificationReport(graph, battery.run())
+    return VerificationReport(analysis.graph, battery.run())
 
 
-def corrupted_verify(graph: Digraph, level: int, cap: int = DEFAULT_CAP,
+def corrupted_verify(graph: Digraph, level: int,
                      seed: int = 0) -> VerificationReport:
     """Self-test: run the battery with a deliberately corrupted oracle.
 
-    A non-minimal forest is injected into the tie set at ``level``, so
-    the battery must report counterexamples; a clean report here means
-    the battery itself is broken.
+    The last level-k forest in canonical order that outweighs phi^k is
+    injected into the tie set at ``level``, so the battery must report
+    counterexamples; a clean report here means the battery itself is
+    broken.
     """
-    analysis = Analysis.compute(graph, cap)
+    analysis = Analysis.compute(graph)
     tilde = analysis.minimal[level]
+    scale, arcs = _integer_arcs(graph)
+    limit = tilde.weight * scale
     intruder = None
-    for F in enumerate_forests(graph, level, cap=cap):
-        if F.weight > tilde.weight:
-            intruder = F
+
+    def visit(out, roots, weight):
+        nonlocal intruder
+        if weight > limit:
+            intruder = tuple(out)
+
+    _search(arcs, level, visit)
     if intruder is None:
         raise InputError(
             f"level {level} has no non-minimal forest to inject")
     analysis.minimal[level] = MinForestSet(
-        level, tilde.weight, tilde.forests + (intruder,))
-    return verify(graph, cap=cap, seed=seed, _analysis=analysis)
+        level, tilde.weight, tilde.forests + (Forest(graph, intruder),))
+    return verify(analysis, seed=seed)

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from forest_atoms import (Analysis, Digraph, InfeasibleLevel, InputError,
-                          VerificationFailure, algebra_contains,
-                          algebra_elements, atoms, detach_incoming,
-                          find_shielded_forest, in_neighborhood, is_symmetric,
-                          measure, symmetrize, verify)
+                          algebra_contains, algebra_elements, atoms,
+                          detach_incoming, find_shielded_forest,
+                          in_neighborhood, is_symmetric, measure, symmetrize,
+                          verify)
 from forest_atoms.atoms import undirected_check
 from forest_atoms.enumeration import MinForestSet
 from forest_atoms.verification import VERIFIED
@@ -113,17 +113,16 @@ def test_shielded_forest_counterexample(an_woody, g_woody):
     kept = tuple(F for F in tilde.forests if in_neighborhood(F, U))
     assert kept  # sanity: the gutted set is nonempty
     gutted = MinForestSet(2, tilde.weight, kept)
-    with pytest.raises(VerificationFailure) as exc:
-        find_shielded_forest(gutted, U, kept[0])
-    assert exc.value.statement == "P9"
-    assert "forest" in exc.value.witness
+    assert find_shielded_forest(gutted, U, kept[0]) is None
+    # so the detach construction has no shield to copy from either
+    assert detach_incoming(gutted, kept[0], U) is None
 
 
 def test_detach_incoming(an_woody, g_woody):
     tilde = an_woody.minimal[2]
     U = g_woody.vset(["beta", "eta"])
     for F in tilde.forests:
-        D, G = detach_incoming(g_woody, 2, tilde, F, U)
+        D, G = detach_incoming(tilde, F, U)
         assert not in_neighborhood(G, U)
         assert not D & U
         assert G.weight == tilde.weight and G.k == 2
@@ -134,7 +133,7 @@ def test_detach_incoming(an_woody, g_woody):
 def test_component_out_weights_by_t3(g_woody):
     # T3 part 2: every component of F|_U of an unlabeled atom U carries
     # the same out-weight in all minimal forests; {beta, eta} is one at k=2
-    report = verify(g_woody, upto_k=2, seed=0)
+    report = verify(Analysis.compute(g_woody), upto_k=2, seed=0)
     assert report.statements["T3"].status == VERIFIED
     assert report.statements["T3"].checks > 0
 

@@ -96,6 +96,20 @@ def test_json_document(ato_file, capsys):
     assert doc["schema_version"] == 1
 
 
+@pytest.mark.parametrize("command", [
+    "phi", "atoms", "hierarchy", "verify", "verify --random"])
+def test_json_stdout_is_one_document(command, ato_file, capsys):
+    # the human lines go to stderr, so stdout parses without --quiet
+    source = (["--random", "n=4,trials=3,seed=42"] if "--random" in command
+              else [ato_file])
+    assert main([command.split()[0], *source, "--json"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["schema_version"] == 1
+    if command != "phi":
+        assert captured.err.strip()
+
+
 def test_verify_ok(ato_file, capsys):
     assert main(["verify", ato_file]) == 0
     out = capsys.readouterr().out
@@ -142,11 +156,21 @@ def test_verify_random_bad_spec(capsys):
 
 
 def test_verify_self_test(tmp_path, capsys):
+    # exit 0: the corrupted oracle was caught and its witnesses written
     witness = tmp_path / "w.json"
-    assert main(["verify", "--self-test", "--witness", str(witness)]) == 1
+    assert main(["verify", "--self-test", "--witness", str(witness)]) == 0
     doc = json.loads(witness.read_text())
     assert doc["witnesses"], "witness file must carry counterexamples"
     assert "self-test ok" in capsys.readouterr().out
+
+
+def test_verify_self_test_missed(monkeypatch, capsys):
+    # a battery that reports the corrupted oracle clean fails the self-test
+    cli = importlib.import_module("forest_atoms.cli")
+    monkeypatch.setattr(cli, "corrupted_verify", lambda graph, level: cli.verify(
+        cli.Analysis.compute(graph)))
+    assert main(["verify", "--self-test"]) == 1
+    assert "self-test FAILED" in capsys.readouterr().out
 
 
 def test_verify_witness_io_error(ato_file, capsys):

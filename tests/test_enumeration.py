@@ -4,6 +4,7 @@ The independent oracle enumerates arc subsets directly and uses
 networkx for acyclicity, sharing no code with the DFS enumerator.
 """
 
+import ast
 import itertools
 import os
 import subprocess
@@ -14,10 +15,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from forest_atoms import (INF, CapExceeded, Digraph, Forest, InvariantError,
-                          MinForestSet, PhiSequence, all_minimal_forests,
-                          convexity_profile, count_forests, enumerate_forests,
-                          is_strict_level, minimal_forests, phi_sequence)
+from forest_atoms import (INF, Analysis, CapExceeded, Digraph, Forest,
+                          InvariantError, MinForestSet, PhiSequence,
+                          all_minimal_forests, convexity_profile,
+                          count_forests, enumerate_forests)
 from tests.conftest import random_graph, signed_graphs
 
 
@@ -76,12 +77,15 @@ def test_minimal_sets_match_brute_force_signed(g):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_single_level_matches_all_levels(seed):
+    # each level's tie set from the bounded all-levels search is the
+    # lightest part of that single level's unbounded walk, in its order
     g = random_graph(seed + 300, n_max=6, wmax=2)
     every = all_minimal_forests(g)
     for k in range(1, g.n + 1):
-        one = minimal_forests(g, k)
-        assert one.weight == every[k].weight
-        assert [F.out for F in one.forests] == [F.out for F in every[k].forests]
+        level = list(enumerate_forests(g, k))
+        phi = min((F.weight for F in level), default=INF)
+        assert every[k].weight == phi
+        assert every[k].forests == tuple(F for F in level if F.weight == phi)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -205,6 +209,7 @@ def unordered_gaps():
 
 
 cases = {
+    "phi^N": lambda: PhiSequence((INF, 1, 2)),
     "gap": lambda: PhiSequence((INF, INF, 0)).gap(1),
     "atom split": unrefined_atoms,
     "measure sum": wrong_phi_measure,
@@ -228,8 +233,25 @@ def test_invariants_survive_optimize_flag():
                          env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
-        "gap raised", "atom split raised", "measure sum raised",
+        "phi^N raised", "gap raised", "atom split raised", "measure sum raised",
         "nesting raised", "gap order raised"]
+
+
+def test_package_has_no_assert():
+    # invariants must survive -O, which strips assert statements; an
+    # AssertionError raised by hand is a failure mode no caller expects
+    package = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "src", "forest_atoms")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or (isinstance(node, ast.Name) and node.id == "AssertionError")]
+    assert not found
 
 
 def test_strictness(an_ato, an_woody):
@@ -252,27 +274,25 @@ def test_canonical_order():
 def test_cap():
     g = Digraph(names=tuple(f"v{i}" for i in range(15)), arcs={})
     with pytest.raises(CapExceeded):
-        phi_sequence(g)
-    assert phi_sequence(g, cap=15).values[15] == 0
+        Analysis.compute(g)
+    assert Analysis.compute(g, cap=15).phi.values[15] == 0
 
 
 def test_k_bounds(g_ato):
     with pytest.raises(ValueError):
         list(enumerate_forests(g_ato, 0))
-    with pytest.raises(ValueError):
-        minimal_forests(g_ato, 5)
 
 
 def test_single_vertex():
-    g = Digraph(names=("x",), arcs={})
-    assert phi_sequence(g).values == (INF, 0)
-    assert convexity_profile(phi_sequence(g)) == ()
+    an = Analysis.compute(Digraph(names=("x",), arcs={}))
+    assert an.phi.values == (INF, 0)
+    assert an.profile == ()
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_convexity_holds(seed):
     g = random_graph(seed + 500, n_max=6)
-    phi = phi_sequence(g)
+    phi = Analysis.compute(g).phi
     profile = convexity_profile(phi)  # asserts convexity internally
     # phi is non-increasing and ends at 0
     finite = [w for w in phi.values if w != INF]

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 
 from forest_atoms import (Analysis, Digraph, Forest, InputError, MinForestSet,
-                          corrupted_verify, enumerate_forests, upsilon, verify)
+                          corrupted_verify, enumerate_forests, in_neighborhood,
+                          subtree, upsilon, verify)
 from forest_atoms import verification
 from forest_atoms.campaign import (CAMPAIGN_BUDGETS, EnsembleSpec,
                                    random_digraph, trial_seed)
 from forest_atoms.enumeration import _integer_arcs
-from forest_atoms.io import dump_document
+from forest_atoms.io import dump_document, graph_from_json
 from forest_atoms.verification import (COUNTEREXAMPLE, NOT_APPLICABLE,
                                        STATEMENTS, VERIFIED, _atom_assignments)
 from tests.conftest import ATO_ARCS, WOODY_ARCS, random_graph, signed_graphs
@@ -30,7 +31,7 @@ def test_statement_registry_complete():
 
 
 def test_golden_example_verifies(g_ato):
-    report = verify(g_ato, seed=3)
+    report = verify(Analysis.compute(g_ato), seed=3)
     assert report.ok
     for stmt, o in report.statements.items():
         assert o.status in (VERIFIED, NOT_APPLICABLE)
@@ -43,7 +44,7 @@ def test_golden_example_verifies(g_ato):
 
 
 def test_woody_example_verifies(g_woody):
-    report = verify(g_woody, seed=3)
+    report = verify(Analysis.compute(g_woody), seed=3)
     assert report.ok
     # the equality level makes the collapse statements applicable
     for stmt in ["P5", "Prop1", "T1", "T6"]:
@@ -56,18 +57,18 @@ def test_woody_example_verifies(g_woody):
 @pytest.mark.parametrize("seed", range(12))
 def test_random_graphs_verify(seed):
     g = random_graph(seed + 40, n_max=6)
-    report = verify(g, seed=seed)
+    report = verify(Analysis.compute(g), seed=seed)
     assert report.ok, report.counterexamples
 
 
 def test_verify_deterministic(g_woody):
-    a = verify(g_woody, seed=11).to_dict()
-    b = verify(g_woody, seed=11).to_dict()
+    a = verify(Analysis.compute(g_woody), seed=11).to_dict()
+    b = verify(Analysis.compute(g_woody), seed=11).to_dict()
     assert a == b
 
 
 def test_upto_k_limits_levels(g_ato):
-    report = verify(g_ato, upto_k=1, seed=0)
+    report = verify(Analysis.compute(g_ato), upto_k=1, seed=0)
     assert report.ok
     # with only k=1 in scope there is a single atom, so pairwise atom
     # statements never fire
@@ -109,7 +110,7 @@ def test_wrong_quotient_caught_by_l6(g_woody, monkeypatch):
         return qout
 
     monkeypatch.setattr(verification, "quotient", misdirected)
-    report = verify(g_woody, seed=0)
+    report = verify(Analysis.compute(g_woody), seed=0)
     assert report.statements["L6"].status == COUNTEREXAMPLE
 
 
@@ -125,7 +126,7 @@ def test_reaching_block_caught_by_l7(g_woody, monkeypatch):
         return non_reaching(qout, B)
 
     monkeypatch.setattr(verification, "quotient_non_reaching", reaching)
-    report = verify(g_woody, seed=0)
+    report = verify(Analysis.compute(g_woody), seed=0)
     assert report.statements["L7"].status == COUNTEREXAMPLE
     assert report.statements["L6"].status == VERIFIED
 
@@ -144,12 +145,12 @@ def test_cut_quotient_caught_by_l7(g_woody, monkeypatch):
         return qout
 
     monkeypatch.setattr(verification, "quotient", cut)
-    report = verify(g_woody, seed=0)
+    report = verify(Analysis.compute(g_woody), seed=0)
     assert report.statements["L7"].status == COUNTEREXAMPLE
 
 
 def test_report_serialization(g_ato):
-    doc = verify(g_ato, seed=0).to_dict()
+    doc = verify(Analysis.compute(g_ato), seed=0).to_dict()
     assert doc["ok"] is True
     assert set(doc["statements"]) == set(STATEMENTS)
     for entry in doc["statements"].values():
@@ -164,7 +165,11 @@ def test_report_serialization(g_ato):
 VERIFY_DIGEST = "25691351091612fdb8ea08a507fefc507442eee8a42bbe7eddbcad02f2b884e1"
 # sha256 over the dumped reports of test_corrupted_reports_pinned, in
 # which 21 statements fail: the bytes of their witnesses
-CORRUPTED_DIGEST = "3c4356514ecebc4b87a77f202af6137ebc50c97f160314c16e5f5646eeb223cf"
+CORRUPTED_DIGEST = "6723d81d9b74df0b18d910529e9c535b4e93844cf1948edb3bf198908d641120"
+# the same reports with the P9 and T4 witnesses left out; computed while
+# those two statements still wrote vertex indices through an exception,
+# so it pins every other byte to that earlier battery
+CORRUPTED_OTHER_DIGEST = "2f7091e7bf90a59a2d9bd9863e35290bb8799e0502ac26c560573b8e702334de"
 
 
 def _acceptance_graphs(count: int, n_max: int):
@@ -175,43 +180,72 @@ def _acceptance_graphs(count: int, n_max: int):
         yield ts, random_digraph(random.Random(ts), spec)
 
 
-def _digest(reports) -> str:
+def _digest(docs) -> str:
     h = hashlib.sha256()
-    for report in reports:
-        h.update(dump_document(report.to_dict()).encode())
+    for doc in docs:
+        h.update(dump_document(doc).encode())
     return h.hexdigest()
 
 
 def test_verify_documents_pinned(g_ato, g_woody):
-    reports = [verify(g, seed=0) for g in (g_ato, g_woody)]
-    reports += [verify(g, seed=ts, **CAMPAIGN_BUDGETS)
+    reports = [verify(Analysis.compute(g), seed=0) for g in (g_ato, g_woody)]
+    reports += [verify(Analysis.compute(g), seed=ts, **CAMPAIGN_BUDGETS)
                 for ts, g in _acceptance_graphs(40, 7)]
-    assert _digest(reports) == VERIFY_DIGEST
+    assert _digest(r.to_dict() for r in reports) == VERIFY_DIGEST
 
 
-def _corrupted_reports(graphs):
+@pytest.fixture(scope="module")
+def corrupted_reports(g_ato, g_woody):
     """corrupted_verify at every level that has a non-minimal forest."""
-    for g in graphs:
+    reports = []
+    for g in [g_ato, g_woody] + [g for _, g in _acceptance_graphs(20, 6)]:
         for level in Analysis.compute(g).feasible_levels():
             try:
-                yield corrupted_verify(g, level)
+                reports.append(corrupted_verify(g, level))
             except InputError:
                 continue
+    return reports
 
 
-def test_corrupted_reports_pinned(g_ato, g_woody):
-    graphs = [g_ato, g_woody] + [g for _, g in _acceptance_graphs(20, 6)]
-    reports = list(_corrupted_reports(graphs))
-    failing = set().union(*(r.counterexamples for r in reports))
+def test_corrupted_reports_pinned(corrupted_reports):
+    failing = set().union(*(r.counterexamples for r in corrupted_reports))
     assert len(failing) == 21
-    assert _digest(reports) == CORRUPTED_DIGEST
+    docs = [r.to_dict() for r in corrupted_reports]
+    assert _digest(docs) == CORRUPTED_DIGEST
+    for doc in docs:
+        for stmt in ("P9", "T4"):
+            doc["statements"][stmt].pop("witness", None)
+    assert _digest(docs) == CORRUPTED_OTHER_DIGEST
+
+
+def test_corrupted_p9_t4_witnesses_replay(corrupted_reports):
+    """P9 and T4 witnesses name their vertices and rebuild from the
+    witness alone."""
+    seen = {"P9": 0, "T4": 0}
+    for report in corrupted_reports:
+        for stmt, keys in (("P9", {"k", "atom", "F"}),
+                           ("T4", {"k", "atom", "F", "D"})):
+            witness = report.statements[stmt].witness
+            if witness is None:
+                continue
+            seen[stmt] += 1
+            assert set(witness) == keys | {"statement", "graph"}
+            g = graph_from_json(witness["graph"])
+            atom = g.vset(witness["atom"])
+            F = Forest.from_names(g, dict(witness["F"]))
+            assert F.k == witness["k"]
+            if stmt == "T4":
+                D = frozenset().union(*(subtree(F, b)
+                                        for b in in_neighborhood(F, atom)))
+                assert g.vset(witness["D"]) == D
+    assert seen == {"P9": 17, "T4": 24}
 
 
 def test_unit_weight_theorem():
     # unit weights, no spanning tree: two separate 2-cycles
     g = Digraph.from_arcs([("a", "b", 1), ("b", "a", 1),
                            ("c", "d", 1), ("d", "c", 1)])
-    report = verify(g, seed=0)
+    report = verify(Analysis.compute(g), seed=0)
     assert report.ok
     assert report.statements["T7"].status == VERIFIED
 
@@ -308,7 +342,7 @@ def test_dropped_pattern_caught_by_p14():
     assert {an.family(k).labeled[an.family(k).atoms.index(atom)]
             for _, an, k, atom in cases} == {True, False}
     for g, an, k, atom in cases:
-        report = verify(g, seed=0, _analysis=an)
+        report = verify(an, seed=0)
         p14 = report.statements["P14"]
         assert p14.status == COUNTEREXAMPLE, (g.arcs, k, sorted(atom))
         witness = p14.witness
