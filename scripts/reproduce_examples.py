@@ -8,7 +8,7 @@ reference graphs, then runs the full statement battery on both.
 
 import sys
 
-from forest_atoms import Analysis, Digraph, build_hierarchy, verify
+from forest_atoms import Analysis, Digraph, build_hierarchy
 from forest_atoms.io import weight_to_json
 
 ATO = [("b", "a", 1), ("a", "c", 2), ("b", "d", 2), ("c", "b", 3)]
@@ -38,6 +38,8 @@ def show(name, arcs):
               f"rho: {' '.join(str(x) for x in meas.values)}")
     print("hierarchy levels:",
           [(lv.k, weight_to_json(lv.gap)) for lv in build_hierarchy(an)])
+    # imported here: reading ATO and WOODY alone should not load the battery
+    from forest_atoms import verify
     report = verify(an, seed=0)
     bad = report.counterexamples
     print("battery:", "ok" if report.ok else f"COUNTEREXAMPLES {bad}")

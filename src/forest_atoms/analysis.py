@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import atoms as atoms_mod
 from .enumeration import (DEFAULT_CAP, STRICT, InfeasibleLevel,
@@ -17,7 +16,6 @@ class Analysis:
     """Everything the atom/hierarchy layers need, computed once."""
 
     graph: Digraph
-    cap: int
     minimal: dict[int, MinForestSet]
     phi: PhiSequence
     profile: tuple[str, ...]
@@ -29,7 +27,7 @@ class Analysis:
         minimal = all_minimal_forests(graph, cap)
         values = [float("inf")] + [minimal[k].weight for k in range(1, graph.n + 1)]
         phi = PhiSequence(tuple(values))
-        return cls(graph=graph, cap=cap, minimal=minimal, phi=phi,
+        return cls(graph=graph, minimal=minimal, phi=phi,
                    profile=convexity_profile(phi))
 
     def feasible(self, k: int) -> bool:

@@ -75,9 +75,10 @@ def atoms(graph: Digraph, k: int, tilde: MinForestSet) -> AtomFamily:
         raise InputError(f"tie set is for k={tilde.k}, not {k}")
     if not tilde.forests:
         raise InfeasibleLevel(k)
+    trees = [components(F) for F in tilde.forests]
     partition: list[set[int]] = [set(range(graph.n))]
-    for F in tilde.forests:
-        partition = _refine(partition, components(F))
+    for blocks in trees:
+        partition = _refine(partition, blocks)
     cells = sorted((frozenset(c) for c in partition), key=min)
     all_roots: set[int] = set()
     for F in tilde.forests:
@@ -87,8 +88,8 @@ def atoms(graph: Digraph, k: int, tilde: MinForestSet) -> AtomFamily:
     family = AtomFamily(k, tuple(cells), labeled)
     # atom indivisibility: every tree of every minimal forest meets each
     # atom in nothing or the whole atom
-    for F in tilde.forests:
-        for tree in components(F):
+    for blocks in trees:
+        for tree in blocks:
             for cell in family.atoms:
                 meet = cell & tree
                 if meet and meet != cell:

@@ -9,16 +9,13 @@ document is byte-identical for any worker count.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .analysis import Analysis
 from .graph import Digraph
 from .io import SCHEMA_VERSION, dump_document, graph_json
-from .verification import verify
 
 #: Battery sampling budgets used by campaigns: smaller forest pools and
 #: subset samples than ``verify``'s defaults, and ENUM's product walk only
@@ -80,6 +77,7 @@ def trial_seed(seed: int, index: int) -> int:
 
 def run_trial(args: tuple[EnsembleSpec, int]) -> dict:
     """One campaign trial: draw the graph, run the battery, summarize."""
+    from .verification import verify
     spec, index = args
     ts = trial_seed(spec.seed, index)
     graph = random_digraph(random.Random(ts), spec)
@@ -104,6 +102,7 @@ def run_campaign(spec: EnsembleSpec, workers: int = 1) -> dict:
     """
     jobs = [(spec, i) for i in range(spec.trials)]
     if workers > 1:
+        import multiprocessing
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(run_trial, jobs, chunksize=8)
     else:

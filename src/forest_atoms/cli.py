@@ -19,7 +19,6 @@ from typing import Optional
 
 from .analysis import Analysis
 from .atoms import symmetrize
-from .campaign import EnsembleSpec, run_campaign
 from .enumeration import (DEFAULT_CAP, CapExceeded, InfeasibleLevel,
                           InvariantError)
 from .graph import Digraph, InputError
@@ -27,8 +26,6 @@ from .hierarchy import build_hierarchy
 from .io import (ParseError, analysis_document, dump_document, graph_from_json,
                  hierarchy_dot, load_document, load_graph, to_dot,
                  weight_to_json)
-from .verification import (COUNTEREXAMPLE, NOT_APPLICABLE, VERIFIED,
-                           corrupted_verify, verify)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -129,7 +126,8 @@ def cmd_atoms(args) -> int:
     return EXIT_OK
 
 
-def _parse_random(spec: str) -> EnsembleSpec:
+def _parse_random(spec: str):
+    from .campaign import EnsembleSpec
     fields = {}
     for part in spec.split(","):
         if "=" not in part:
@@ -153,12 +151,17 @@ def _parse_random(spec: str) -> EnsembleSpec:
 
 
 def _summary_line(statuses: list[str]) -> str:
+    from .verification import COUNTEREXAMPLE, NOT_APPLICABLE, VERIFIED
     return (f"statements verified: {statuses.count(VERIFIED)}, "
             f"not-applicable: {statuses.count(NOT_APPLICABLE)}, "
             f"counterexamples: {statuses.count(COUNTEREXAMPLE)}")
 
 
 def cmd_verify(args) -> int:
+    # the battery loads only for this subcommand, the campaign runner
+    # only for --random
+    from .verification import (COUNTEREXAMPLE, NOT_APPLICABLE, VERIFIED,
+                               corrupted_verify, verify)
     if args.self_test:
         graph = Digraph.from_arcs(SELF_TEST_ARCS)
         report = corrupted_verify(graph, level=2)
@@ -175,6 +178,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK
 
     if args.random:
+        from .campaign import run_campaign
         spec = _parse_random(args.random)
         doc = run_campaign(spec, workers=args.workers)
         if args.json:
@@ -231,6 +235,7 @@ def _replay(args) -> int:
     hierarchy = build_hierarchy(analysis)
     report = None
     if "verification" in doc:
+        from .verification import verify
         seed = doc["verification"].get("seed", 0)
         report = dict(verify(analysis, seed=seed).to_dict(), seed=seed)
     fresh = analysis_document(analysis, hierarchy if "hierarchy" in doc else None,

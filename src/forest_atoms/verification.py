@@ -231,10 +231,11 @@ class _Battery:
             subs = self._all_subsets[universe]
         else:
             rand = self.rng.random
-            subs = {frozenset(), frozenset(items)}
-            while len(subs) < limit:
-                subs.add(frozenset([v for v in items if rand() < 0.5]))
-            subs = sorted(subs, key=lambda s: (len(s), sorted(s)))
+            # draws are sorted tuples, so (len, tuple) is the canonical order
+            draws = {(), tuple(items)}
+            while len(draws) < limit:
+                draws.add(tuple([v for v in items if rand() < 0.5]))
+            subs = [frozenset(t) for t in sorted(draws, key=lambda t: (len(t), t))]
         # the empty set always sorts first
         return subs[1:] if nonempty else subs
 

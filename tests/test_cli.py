@@ -166,9 +166,11 @@ def test_verify_self_test(tmp_path, capsys):
 
 def test_verify_self_test_missed(monkeypatch, capsys):
     # a battery that reports the corrupted oracle clean fails the self-test
-    cli = importlib.import_module("forest_atoms.cli")
-    monkeypatch.setattr(cli, "corrupted_verify", lambda graph, level: cli.verify(
-        cli.Analysis.compute(graph)))
+    # cmd_verify reads corrupted_verify from the battery module at call time
+    verification = importlib.import_module("forest_atoms.verification")
+    monkeypatch.setattr(verification, "corrupted_verify",
+                        lambda graph, level: verification.verify(
+                            verification.Analysis.compute(graph)))
     assert main(["verify", "--self-test"]) == 1
     assert "self-test FAILED" in capsys.readouterr().out
 
