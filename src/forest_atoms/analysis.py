@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import atoms as atoms_mod
 from .enumeration import (DEFAULT_CAP, STRICT, InfeasibleLevel,
                           MinForestSet, PhiSequence, all_minimal_forests,
@@ -11,16 +9,17 @@ from .enumeration import (DEFAULT_CAP, STRICT, InfeasibleLevel,
 from .graph import Digraph
 
 
-@dataclass
 class Analysis:
     """Everything the atom/hierarchy layers need, computed once."""
 
-    graph: Digraph
-    minimal: dict[int, MinForestSet]
-    phi: PhiSequence
-    profile: tuple[str, ...]
-    _families: dict[int, atoms_mod.AtomFamily] = field(default_factory=dict)
-    _measures: dict[int, atoms_mod.AtomMeasure] = field(default_factory=dict)
+    def __init__(self, graph: Digraph, minimal: dict[int, MinForestSet],
+                 phi: PhiSequence, profile: tuple[str, ...]):
+        self.graph = graph
+        self.minimal = minimal
+        self.phi = phi
+        self.profile = profile
+        self._families: dict[int, atoms_mod.AtomFamily] = {}
+        self._measures: dict[int, atoms_mod.AtomMeasure] = {}
 
     @classmethod
     def compute(cls, graph: Digraph, cap: int = DEFAULT_CAP) -> "Analysis":

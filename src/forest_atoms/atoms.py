@@ -9,26 +9,25 @@ they share a tree in *every* minimal k-forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .enumeration import InfeasibleLevel, InvariantError, MinForestSet
-from .graph import (Digraph, Forest, InputError, _cached, components,
-                    in_neighborhood, replace_arcs, subtree, upsilon)
+from .graph import (Digraph, Forest, InputError, _cached, _Record,
+                    _ValueRecord, components, in_neighborhood, replace_arcs,
+                    subtree, upsilon)
 
 
-@dataclass(frozen=True, eq=False)
-class AtomFamily:
+class AtomFamily(_Record):
     """Atoms of the level-k algebra, in canonical order.
 
     Canonical order is by smallest contained vertex index.  An atom is
     labeled when it contains a root of some minimal k-forest.
     """
 
-    k: int
-    atoms: tuple[frozenset[int], ...]
-    labeled: tuple[bool, ...]
+    def __init__(self, k: int, atoms: tuple[frozenset[int], ...],
+                 labeled: tuple[bool, ...]):
+        self.__dict__.update(k=k, atoms=atoms, labeled=labeled)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -117,8 +116,7 @@ def algebra_elements(family: AtomFamily):
         yield frozenset().union(*(family.atoms[i] for i in combo)) if combo else frozenset()
 
 
-@dataclass(frozen=True)
-class AtomMeasure:
+class AtomMeasure(_ValueRecord):
     """Per-atom out-arc weight, when forest-independent.
 
     ``values[i]`` is the common out-weight of atom i; ``per_forest``
@@ -126,10 +124,11 @@ class AtomMeasure:
     inspectable.
     """
 
-    k: int
-    values: tuple[Fraction, ...]
-    well_defined: bool
-    per_forest: tuple[tuple[Fraction, ...], ...]
+    def __init__(self, k: int, values: tuple[Fraction, ...],
+                 well_defined: bool,
+                 per_forest: tuple[tuple[Fraction, ...], ...]):
+        self.__dict__.update(k=k, values=values, well_defined=well_defined,
+                             per_forest=per_forest)
 
 
 def measure(graph: Digraph, k: int, tilde: MinForestSet,

@@ -22,21 +22,16 @@ a level ties) grow exponentially with N.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
-from .graph import INF, Digraph, Forest, Weight
+from .graph import INF, Digraph, Forest, IntArcs, Weight, _ValueRecord
 
 DEFAULT_CAP = 14
 
 STRICT = "strict"
 EQUAL = "equal"
 UNDEFINED = "undefined"
-
-#: Per-vertex out-arcs as (head, integer weight), heads ascending.
-IntArcs = Sequence[Sequence[tuple[int, int]]]
 
 
 class CapExceeded(Exception):
@@ -68,19 +63,6 @@ class InvariantError(RuntimeError):
 def _check_cap(graph: Digraph, cap: int) -> None:
     if graph.n > cap:
         raise CapExceeded(graph.n, cap)
-
-
-def _integer_arcs(graph: Digraph) -> tuple[int, IntArcs]:
-    """Out-lists with weights scaled to integers, and the scale.
-
-    The scale is the lcm of the weight denominators, so integer sums
-    divided by it are exactly the rational forest weights.
-    """
-    scale = math.lcm(*(w.denominator for w in graph.arcs.values()))
-    arcs = tuple(tuple((t, w.numerator * (scale // w.denominator))
-                       for t, w in row)
-                 for row in graph.out_lists)
-    return scale, arcs
 
 
 def _total_weight(arcs: IntArcs) -> int:
@@ -183,7 +165,7 @@ def enumerate_forests(graph: Digraph, k: Optional[int] = None,
     def visit(out, roots, weight):
         acc.append(Forest(graph, tuple(out)))
 
-    _search(_integer_arcs(graph)[1], k, visit)
+    _search(graph._integer_arcs[1], k, visit)
     return iter(acc)
 
 
@@ -195,35 +177,30 @@ def count_forests(graph: Digraph, k: Optional[int] = None,
     def visit(out, roots, weight):
         counter[0] += 1
 
-    _search(_integer_arcs(graph)[1], k, visit)
+    _search(graph._integer_arcs[1], k, visit)
     return counter[0]
 
 
-@dataclass(frozen=True)
-class MinForestSet:
-    """All minimum-weight spanning k-forests, in canonical order."""
+class MinForestSet(_ValueRecord):
+    """All minimum-weight spanning k-forests, in canonical order, and
+    their weight phi^k (INF when no k-forest exists)."""
 
-    k: int
-    weight: Weight           # phi^k; INF when no k-forest exists
-    forests: tuple[Forest, ...]
-
-    def __post_init__(self):
-        if (self.weight == INF) != (not self.forests):
+    def __init__(self, k: int, weight: Weight, forests: tuple[Forest, ...]):
+        if (weight == INF) != (not forests):
             raise InvariantError(
-                f"level {self.k}: weight {self.weight} does not match "
-                f"{len(self.forests)} forests")
+                f"level {k}: weight {weight} does not match "
+                f"{len(forests)} forests")
+        self.__dict__.update(k=k, weight=weight, forests=forests)
 
 
-@dataclass(frozen=True)
-class PhiSequence:
+class PhiSequence(_ValueRecord):
     """phi^0..phi^N with infinity; phi^0 = inf by definition."""
 
-    values: tuple[Weight, ...]
-
-    def __post_init__(self):
-        if self.values[-1] != 0:
+    def __init__(self, values: tuple[Weight, ...]):
+        if values[-1] != 0:
             raise InvariantError(
-                f"phi^N = {self.values[-1]}, but the empty forest weighs 0")
+                f"phi^N = {values[-1]}, but the empty forest weighs 0")
+        self.__dict__.update(values=values)
 
     @property
     def n(self) -> int:
@@ -246,7 +223,7 @@ class PhiSequence:
 def all_minimal_forests(graph: Digraph, cap: int = DEFAULT_CAP) -> dict[int, MinForestSet]:
     """Minimum-weight tie sets for every k, one bounded search per level."""
     _check_cap(graph, cap)
-    scale, arcs = _integer_arcs(graph)
+    scale, arcs = graph._integer_arcs
     lower = _lower_bounds(arcs)
     result = {}
     for k in range(1, graph.n + 1):

@@ -13,7 +13,7 @@ ever touches a float except the shared infinity sentinel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -24,6 +24,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 INF = float("inf")
 
 Weight = Union[Fraction, float]
+
+#: Per-vertex out-arcs as (head, integer weight), heads ascending.
+IntArcs = Sequence[Sequence[tuple[int, int]]]
 
 
 class InputError(ValueError):
@@ -50,6 +53,44 @@ class _cached:
         return value
 
 
+class _Record:
+    """Immutable record whose fields are its ``__init__`` parameters.
+
+    ``__init__`` writes them into the instance dict, as ``_cached``
+    does; assigning or deleting any attribute raises AttributeError.
+    The repr lists the fields, like a dataclass's; equality is identity.
+    """
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields))
+
+
+class _ValueRecord(_Record):
+    """A record that compares and hashes by its fields."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 def _as_fraction(w) -> Fraction:
     try:
         return Fraction(w)
@@ -57,37 +98,33 @@ def _as_fraction(w) -> Fraction:
         raise InputError(f"bad weight {w!r}: {exc}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class Digraph:
+class Digraph(_Record):
     """Weighted digraph with at most one arc per ordered vertex pair.
 
     ``arcs`` maps (tail, head) index pairs to exact rational weights.
     No self-loops.  Instances are immutable; equality is identity.
+    ``out_lists`` (index -> sorted tuple of (head, weight)) is derived.
     """
 
-    names: tuple[str, ...]
-    arcs: Mapping[tuple[int, int], Fraction]
-    # index -> sorted tuple of (head, weight); derived, set in __post_init__
-    out_lists: tuple[tuple[tuple[int, Fraction], ...], ...] = field(repr=False, default=())
-
-    def __post_init__(self):
-        n = len(self.names)
+    def __init__(self, names: tuple[str, ...],
+                 arcs: Mapping[tuple[int, int], Fraction]):
+        n = len(names)
         if n < 1:
             raise InputError("a digraph needs at least one vertex")
-        if len(set(self.names)) != n:
+        if len(set(names)) != n:
             raise InputError("duplicate vertex names")
         by_tail: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-        for (i, j), w in self.arcs.items():
+        for (i, j), w in arcs.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"arc ({i},{j}) out of range")
             if i == j:
-                raise InputError(f"self-loop at {self.names[i]!r}")
+                raise InputError(f"self-loop at {names[i]!r}")
             if not isinstance(w, Fraction):
                 raise InputError(f"weight of ({i},{j}) is not exact: {w!r}")
             by_tail[i].append((j, w))
-        object.__setattr__(
-            self, "out_lists", tuple(tuple(sorted(row)) for row in by_tail)
-        )
+        self.__dict__.update(
+            names=names, arcs=arcs,
+            out_lists=tuple(tuple(sorted(row)) for row in by_tail))
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[tuple[str, str, object]],
@@ -124,6 +161,19 @@ class Digraph:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
+    @_cached
+    def _integer_arcs(self) -> tuple[int, IntArcs]:
+        """Out-lists with weights scaled to integers, and the scale.
+
+        The scale is the lcm of the weight denominators, so integer sums
+        divided by it are exactly the rational forest weights.
+        """
+        scale = math.lcm(*(w.denominator for w in self.arcs.values()))
+        arcs = tuple(tuple((t, w.numerator * (scale // w.denominator))
+                           for t, w in row)
+                     for row in self.out_lists)
+        return scale, arcs
+
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -145,27 +195,24 @@ class Digraph:
         return frozenset(self.index(v) for v in names)
 
 
-@dataclass(frozen=True, eq=False)
-class Forest:
+class Forest(_Record):
     """Spanning entering forest as a partial out-arc assignment.
 
     ``out[v]`` is the head of v's unique outgoing arc, or None at a
     root.  Construction validates arcs and acyclicity.
     """
 
-    graph: Digraph
-    out: tuple[Optional[int], ...]
-
-    def __post_init__(self):
-        if len(self.out) != self.graph.n:
+    def __init__(self, graph: Digraph, out: tuple[Optional[int], ...]):
+        if len(out) != graph.n:
             raise InputError("out-arc map has wrong length")
-        if not _acyclic(self.out):
+        if not _acyclic(out):
             raise InputError("out-arc map contains a contour")
-        for v, t in enumerate(self.out):
-            if t is not None and not self.graph.has_arc(v, t):
+        for v, t in enumerate(out):
+            if t is not None and not graph.has_arc(v, t):
                 raise InputError(
-                    f"arc ({self.graph.names[v]!r},{self.graph.names[t]!r})"
+                    f"arc ({graph.names[v]!r},{graph.names[t]!r})"
                     " is not in the parent digraph")
+        self.__dict__.update(graph=graph, out=out)
 
     @classmethod
     def from_names(cls, graph: Digraph, out_arcs: Mapping[str, str]) -> "Forest":
@@ -352,25 +399,18 @@ def components(F: Forest) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(blocks[r]) for r in sorted(blocks))
 
 
-@dataclass(frozen=True, eq=False)
-class Subgraph:
-    """Induced subgraph: a vertex subset plus the arcs inside it."""
+class Subgraph(_ValueRecord):
+    """Induced subgraph: a vertex subset plus the arcs inside it.
 
-    graph: Digraph
-    vertices: frozenset[int]
-    arcs: frozenset[tuple[int, int]]
+    Equal subgraphs share the parent digraph itself.
+    """
 
-    def __post_init__(self):
-        for i, j in self.arcs:
-            if i not in self.vertices or j not in self.vertices:
+    def __init__(self, graph: Digraph, vertices: frozenset[int],
+                 arcs: frozenset[tuple[int, int]]):
+        for i, j in arcs:
+            if i not in vertices or j not in vertices:
                 raise InputError("subgraph arc endpoint outside vertex subset")
-
-    def __eq__(self, other):
-        return (isinstance(other, Subgraph) and self.graph is other.graph
-                and self.vertices == other.vertices and self.arcs == other.arcs)
-
-    def __hash__(self):
-        return hash((self.vertices, self.arcs))
+        self.__dict__.update(graph=graph, vertices=vertices, arcs=arcs)
 
     def local_roots(self) -> frozenset[int]:
         """Vertices with no outgoing arc inside the subgraph.
@@ -490,8 +530,7 @@ def find_non_reaching(F: Forest, B: frozenset[int]) -> Optional[int]:
     return _non_reaching(F.reaches, B)
 
 
-@dataclass(frozen=True, eq=False)
-class TreePartition:
+class TreePartition(_Record):
     """Partition of a forest's vertices into root-designated tree blocks.
 
     Built by deleting the out-arcs of a generator set A that contains
@@ -499,9 +538,10 @@ class TreePartition:
     the pruned forest, keyed by their roots.
     """
 
-    forest: Forest
-    generators: frozenset[int]
-    blocks: Mapping[int, frozenset[int]]
+    def __init__(self, forest: Forest, generators: frozenset[int],
+                 blocks: Mapping[int, frozenset[int]]):
+        self.__dict__.update(forest=forest, generators=generators,
+                             blocks=blocks)
 
     @_cached
     def _block_index(self) -> dict[int, int]:

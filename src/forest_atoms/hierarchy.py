@@ -8,22 +8,21 @@ Delta_k = phi^{k-1} - phi^k and the vertex -> atom aggregation map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analysis import Analysis
 from .atoms import AtomFamily
 from .enumeration import InvariantError
-from .graph import INF, Digraph, Weight
+from .graph import INF, Digraph, Weight, _Record
 
 
-@dataclass(frozen=True, eq=False)
-class HierarchyLevel:
-    """One timescale level of the aggregation hierarchy."""
+class HierarchyLevel(_Record):
+    """One timescale level of the aggregation hierarchy: the gap Delta_k
+    (INF at the first feasible level), the atoms and the vertex index ->
+    atom index map."""
 
-    k: int
-    gap: Weight                     # Delta_k; INF at the first feasible level
-    atoms: AtomFamily
-    aggregation: tuple[int, ...]    # vertex index -> atom index
+    def __init__(self, k: int, gap: Weight, atoms: AtomFamily,
+                 aggregation: tuple[int, ...]):
+        self.__dict__.update(k=k, gap=gap, atoms=atoms,
+                             aggregation=aggregation)
 
 
 def build_hierarchy(analysis: Analysis) -> list[HierarchyLevel]:

@@ -30,20 +30,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .analysis import Analysis
 from .atoms import (AtomFamily, algebra_contains, algebra_elements,
                     detach_incoming, find_shielded_forest)
-from .enumeration import (EQUAL, IntArcs, MinForestSet, _integer_arcs,
-                          _lower_bounds, _search)
-from .graph import (INF, Digraph, Forest, InputError, Weight, _acyclic,
-                    components, find_non_reaching, in_neighborhood,
-                    out_neighborhood, quotient, quotient_non_reaching,
-                    quotient_reaches, replace_arcs, restrict, rewrite_guard,
-                    subtree, tree_partition, upsilon)
+from .enumeration import EQUAL, MinForestSet, _lower_bounds, _search
+from .graph import (INF, Digraph, Forest, InputError, IntArcs, Weight,
+                    _acyclic, _Record, components, find_non_reaching,
+                    in_neighborhood, out_neighborhood, quotient,
+                    quotient_non_reaching, quotient_reaches, replace_arcs,
+                    restrict, rewrite_guard, subtree, tree_partition, upsilon)
 from .io import _forest_json, graph_json
 
 STATEMENTS = (
@@ -62,17 +60,19 @@ NOT_APPLICABLE = "not-applicable"
 MAX_TIE = 10
 
 
-@dataclass
 class Outcome:
-    status: str = NOT_APPLICABLE
-    checks: int = 0
-    witness: Optional[dict] = None
+    """One statement's status, check count and first witness."""
+
+    def __init__(self, status: str = NOT_APPLICABLE, checks: int = 0,
+                 witness: Optional[dict] = None):
+        self.status = status
+        self.checks = checks
+        self.witness = witness
 
 
-@dataclass
-class VerificationReport:
-    graph: Digraph
-    statements: dict[str, Outcome]
+class VerificationReport(_Record):
+    def __init__(self, graph: Digraph, statements: dict[str, Outcome]):
+        self.__dict__.update(graph=graph, statements=statements)
 
     @property
     def counterexamples(self) -> list[str]:
@@ -136,7 +136,7 @@ class _Battery:
                  upto_k: Optional[int] = None):
         self.an = analysis
         self.graph = analysis.graph
-        self.scale, self.arcs = _integer_arcs(self.graph)
+        self.scale, self.arcs = self.graph._integer_arcs
         self.rng = rng
         self.max_subsets = max_subsets
         self.upto_k = upto_k
@@ -874,7 +874,7 @@ def corrupted_verify(graph: Digraph, level: int,
     """
     analysis = Analysis.compute(graph)
     tilde = analysis.minimal[level]
-    scale, arcs = _integer_arcs(graph)
+    scale, arcs = graph._integer_arcs
     limit = tilde.weight * scale
     intruder = None
 

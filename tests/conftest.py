@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import strategies as st
 
-from forest_atoms import Analysis, Digraph
+from forest_atoms import Analysis, Digraph, parse_edge_list
 
 # 4-vertex worked example: unique minimal forest at every level,
 # strict convexity throughout (phi = inf 7 3 1 0).
@@ -20,6 +20,12 @@ WOODY_ARCS = [
     ("beta", "gamma", 3), ("eta", "zeta", 3),
 ]
 
+# Least order at which the restriction theorem stops (N = 4, found by an
+# exhaustive search): at k = 3 every minimal 3- and 2-forest is a tree on
+# each atom, but the unique minimal 1-forest b->d, c->b, d->a falls apart
+# on the atom {c, d}.
+SHARP_EDGES = "b d 2\nc b 2\nd a 2\nd c 1\n"
+
 
 @pytest.fixture(scope="session")
 def g_ato() -> Digraph:
@@ -29,6 +35,11 @@ def g_ato() -> Digraph:
 @pytest.fixture(scope="session")
 def g_woody() -> Digraph:
     return Digraph.from_arcs(WOODY_ARCS)
+
+
+@pytest.fixture(scope="session")
+def g_sharp() -> Digraph:
+    return parse_edge_list(SHARP_EDGES)
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ import pytest
 from forest_atoms import (Analysis, Digraph, InfeasibleLevel, InputError,
                           algebra_contains, algebra_elements, atoms,
                           detach_incoming, find_shielded_forest,
-                          in_neighborhood, is_symmetric, measure, symmetrize,
-                          verify)
+                          in_neighborhood, is_symmetric, measure, restrict,
+                          symmetrize, verify)
 from forest_atoms.atoms import undirected_check
 from forest_atoms.enumeration import MinForestSet
 from forest_atoms.verification import VERIFIED
@@ -156,3 +156,26 @@ def test_undirected_all_atoms_labeled():
             if an.strict(k):
                 assert len(an.family(k)) == k
                 assert all(an.family(k).labeled)
+
+
+def test_restriction_theorem_stops_at_k_minus_2(g_sharp):
+    """The paper's second claim on its least witness: at k = 3, T5 and T6
+    hold (minimal 3- and 2-forests are trees on every atom), while the
+    minimal 1-forest restricts to the atom {c, d} as two components."""
+    an = Analysis.compute(g_sharp)
+    assert an.strict(3)
+    fam = an.family(3)
+    assert _atom_names(g_sharp, fam) == [{"a"}, {"b"}, {"c", "d"}]
+    for k in (3, 2):
+        assert an.minimal[k].forests
+        for F in an.minimal[k].forests:
+            assert all(restrict(F, atom).is_tree() for atom in fam.atoms)
+    (F1,) = an.minimal[1].forests
+    assert sorted(F1.arc_names()) == [("b", "d"), ("c", "b"), ("d", "a")]
+    c, d = g_sharp.index("c"), g_sharp.index("d")
+    assert restrict(F1, frozenset({c, d})).component_sets() == (
+        frozenset({c}), frozenset({d}))
+    report = verify(an)
+    assert report.counterexamples == []
+    assert report.statements["T5"].status == VERIFIED
+    assert report.statements["T6"].status == VERIFIED

@@ -1,6 +1,7 @@
 """Import footprint: the paper's pipeline never loads the statement
-battery, the campaign runner or multiprocessing, and the package still
-exports every name it did when it imported them eagerly."""
+battery, the campaign runner or multiprocessing, no CLI run but a
+campaign loads dataclasses, and the package still exports every name it
+did when it imported them eagerly."""
 
 import importlib
 import os
@@ -39,12 +40,12 @@ DEFERRED = ("multiprocessing", "forest_atoms.campaign",
             "forest_atoms.verification")
 
 
-def _loaded_after(code: str) -> list[str]:
-    """Which of DEFERRED a fresh interpreter holds after running code."""
+def _loaded_after(code: str, modules=DEFERRED) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after running code."""
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = f"{code}\nimport sys\nprint(*[m for m in {DEFERRED!r} if m in sys.modules])"
+    probe = f"{code}\nimport sys\nprint(*[m for m in {modules!r} if m in sys.modules])"
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
@@ -65,17 +66,42 @@ def test_reference_graphs_load_without_battery():
     assert _loaded_after(f"import runpy; runpy.run_path({script!r})") == []
 
 
-def test_pipeline_subcommands_never_load_battery(tmp_path):
+def _subcommand_runs(tmp_path) -> tuple[str, str]:
+    """Code running phi, atoms and hierarchy, and code running verify,
+    on the 4-vertex reference graph."""
     path = tmp_path / "ato.edges"
     path.write_text("".join(f"{a} {b} {w}\n" for a, b, w in ATO_ARCS))
     runs = "; ".join(f"main([{cmd!r}, {str(path)!r}, '--json', '--quiet'])"
                      for cmd in ("phi", "atoms", "hierarchy"))
-    code = f"import io, contextlib\nfrom forest_atoms.cli import main\n" \
-           f"with contextlib.redirect_stdout(io.StringIO()): {runs}"
-    assert _loaded_after(code) == []
-    # the battery subcommand still loads it, without multiprocessing
+    pipeline = f"import io, contextlib\nfrom forest_atoms.cli import main\n" \
+               f"with contextlib.redirect_stdout(io.StringIO()): {runs}"
     verify = f"from forest_atoms.cli import main; main(['verify', {str(path)!r}, '--quiet'])"
+    return pipeline, verify
+
+
+def test_pipeline_subcommands_never_load_battery(tmp_path):
+    pipeline, verify = _subcommand_runs(tmp_path)
+    assert _loaded_after(pipeline) == []
+    # the battery subcommand still loads it, without multiprocessing
     assert _loaded_after(verify) == ["forest_atoms.verification"]
+
+
+def test_only_campaigns_load_dataclasses(tmp_path):
+    pipeline, verify = _subcommand_runs(tmp_path)
+    edges = str(tmp_path / "ato.edges")
+    doc, witness = str(tmp_path / "doc.json"), str(tmp_path / "w.json")
+    replay_and_self_test = (
+        "import contextlib\nfrom forest_atoms.cli import main\n"
+        f"with open({doc!r}, 'w') as fh, contextlib.redirect_stdout(fh):\n"
+        f"    main(['verify', {edges!r}, '--json', '--quiet'])\n"
+        f"assert main(['verify', '--replay', {doc!r}, '--quiet']) == 0\n"
+        f"assert main(['verify', '--self-test', '--witness', {witness!r},"
+        " '--quiet']) == 0")
+    for code in ("import forest_atoms.cli", pipeline, verify,
+                 replay_and_self_test):
+        assert _loaded_after(code, ("dataclasses",)) == [], code
+    assert _loaded_after("import forest_atoms.campaign",
+                         ("dataclasses",)) == ["dataclasses"]
 
 
 def test_every_export_resolves_to_its_defining_object():

@@ -13,7 +13,6 @@ from forest_atoms import (Analysis, Digraph, Forest, InputError, MinForestSet,
 from forest_atoms import verification
 from forest_atoms.campaign import (CAMPAIGN_BUDGETS, EnsembleSpec,
                                    random_digraph, trial_seed)
-from forest_atoms.enumeration import _integer_arcs
 from forest_atoms.io import dump_document, graph_from_json
 from forest_atoms.verification import (COUNTEREXAMPLE, NOT_APPLICABLE,
                                        STATEMENTS, VERIFIED, _atom_assignments)
@@ -91,6 +90,22 @@ def test_corrupted_oracle_every_level(g_woody):
         assert not report.ok, f"corruption at k={level} went undetected"
         # the product oracle sees the intruder in the tie set directly
         assert report.statements["ENUM"].status == COUNTEREXAMPLE
+
+
+def test_integer_arcs_built_once_per_graph(monkeypatch):
+    """The tie-set search, the battery and the self-test share one
+    integer-scaled copy of the graph's out-lists."""
+    view = Digraph.__dict__["_integer_arcs"]
+    build, calls = view.fn, []
+    monkeypatch.setattr(view, "fn", lambda g: calls.append(g) or build(g))
+    g = Digraph.from_arcs(WOODY_ARCS)
+    an = Analysis.compute(g)
+    scale, arcs = g._integer_arcs
+    battery = verification._Battery(an, random.Random(0), max_pool=10,
+                                    max_subsets=24, enum_budget=60000)
+    assert battery.arcs is arcs and battery.scale == scale == 1
+    assert verify(an).ok and not corrupted_verify(g, level=2).ok
+    assert calls == [g]
 
 
 # -- L6/L7 against a wrong quotient ----------------------------------------
@@ -277,7 +292,7 @@ def test_atom_search_matches_brute_force(g):
     restrict to the realized patterns, and the search reaches exactly
     the restrictions at or below any limit."""
     an = Analysis.compute(g)
-    scale, arcs = _integer_arcs(g)
+    scale, arcs = g._integer_arcs
     forests = list(enumerate_forests(g))
     for k in an.feasible_levels():
         if not an.strict(k):
