@@ -4,7 +4,8 @@ The algebra at level k is generated by the tree vertex-sets of all
 minimum-weight k-forests.  Because each generating family is a
 partition of the vertex set, the atoms are exactly the blocks of the
 common refinement of those partitions: two vertices share an atom iff
-they share a tree in *every* minimal k-forest.
+they share a tree in *every* minimal k-forest, that is, when their
+signatures (their roots across the tie set) agree.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Optional
 
 from .enumeration import InfeasibleLevel, InvariantError, MinForestSet
 from .graph import (Digraph, Forest, InputError, _cached, _Record,
-                    _ValueRecord, components, in_neighborhood, replace_arcs,
-                    subtree, upsilon)
+                    _root_walk, _ValueRecord, components, in_neighborhood,
+                    replace_arcs, subtree)
 
 
 class AtomFamily(_Record):
@@ -54,14 +55,11 @@ class AtomFamily(_Record):
         return frozenset(self.atoms)
 
 
-def _refine(partition: list[set[int]], blocks) -> list[set[int]]:
-    refined: list[set[int]] = []
-    for cell in partition:
-        for block in blocks:
-            piece = cell & block
-            if piece:
-                refined.append(piece)
-    return refined
+def _split(classes: list[int], root: tuple[int, ...]) -> list[int]:
+    """Class ids of the common refinement of ``classes`` and the trees
+    of a forest with root map ``root``, numbered by first vertex."""
+    ids: dict[tuple[int, int], int] = {}
+    return [ids.setdefault(pair, len(ids)) for pair in zip(classes, root)]
 
 
 def atoms(graph: Digraph, k: int, tilde: MinForestSet) -> AtomFamily:
@@ -74,26 +72,22 @@ def atoms(graph: Digraph, k: int, tilde: MinForestSet) -> AtomFamily:
         raise InputError(f"tie set is for k={tilde.k}, not {k}")
     if not tilde.forests:
         raise InfeasibleLevel(k)
-    trees = [components(F) for F in tilde.forests]
-    partition: list[set[int]] = [set(range(graph.n))]
-    for blocks in trees:
-        partition = _refine(partition, blocks)
-    cells = sorted((frozenset(c) for c in partition), key=min)
-    all_roots: set[int] = set()
-    for F in tilde.forests:
-        # not F.roots, which would keep a cached set on every tied forest
-        all_roots.update(v for v, t in enumerate(F.out) if t is None)
-    labeled = tuple(bool(cell & all_roots) for cell in cells)
-    family = AtomFamily(k, tuple(cells), labeled)
+    # forests with the same trees and roots refine alike: keep one each
+    root_maps = dict.fromkeys(_root_walk(F.out) for F in tilde.forests)
+    classes = [0] * graph.n
+    for root in root_maps:
+        classes = _split(classes, root)
+    # ids are numbered by first vertex, so the cells come sorted by min
+    cells = tuple(frozenset(v for v, c in enumerate(classes) if c == i)
+                  for i in range(max(classes) + 1))
+    all_roots = set().union(*root_maps)
+    labeled = tuple(not cell.isdisjoint(all_roots) for cell in cells)
     # atom indivisibility: every tree of every minimal forest meets each
-    # atom in nothing or the whole atom
-    for blocks in trees:
-        for tree in blocks:
-            for cell in family.atoms:
-                meet = cell & tree
-                if meet and meet != cell:
-                    raise InvariantError("atom split by a generator tree")
-    return family
+    # atom in nothing or the whole atom, so each class has one root
+    for root in root_maps:
+        if len(set(zip(classes, root))) != len(cells):
+            raise InvariantError("atom split by a generator tree")
+    return AtomFamily(k, cells, labeled)
 
 
 def algebra_contains(family: AtomFamily, S: frozenset[int]) -> bool:
@@ -140,13 +134,25 @@ def measure(graph: Digraph, k: int, tilde: MinForestSet,
     """
     if not tilde.forests:
         raise InfeasibleLevel(k)
-    table = tuple(tuple(upsilon(F, a) for a in family.atoms)
-                  for F in tilde.forests)
-    well = all(row == table[0] for row in table)
-    values = table[0]
-    if well and sum(values, Fraction(0)) != tilde.weight:
+    scale, arcs = graph._integer_arcs
+    weight = [dict(row) for row in arcs]
+    atom_of = family._atom_index
+    rows = []
+    for F in tilde.forests:
+        row = [0] * len(family)
+        for v, t in enumerate(F.out):
+            if t is not None:
+                row[atom_of[v]] += weight[v][t]
+        rows.append(tuple(row))
+    distinct = set(rows)
+    well = len(distinct) == 1
+    if well and sum(rows[0]) != tilde.weight * scale:
         raise InvariantError("atom measure does not sum to phi^k")
-    return AtomMeasure(k, values, well, table)
+    # one Fraction per distinct value, one tuple per distinct row
+    fraction = {x: Fraction(x, scale) for x in set().union(*distinct)}
+    as_fractions = {row: tuple(fraction[x] for x in row) for row in distinct}
+    table = tuple(as_fractions[row] for row in rows)
+    return AtomMeasure(k, table[0], well, table)
 
 
 def find_shielded_forest(tilde: MinForestSet, E: frozenset[int],
@@ -156,9 +162,10 @@ def find_shielded_forest(tilde: MinForestSet, E: frozenset[int],
     Existence is guaranteed at strict levels; found by scanning the
     complete tie set.  None means there is none: a counterexample to P9.
     """
-    want = tuple(F.out[v] for v in sorted(E))
+    order = sorted(E)
+    want = tuple(F.out[v] for v in order)
     for H in tilde.forests:
-        if tuple(H.out[v] for v in sorted(E)) != want:
+        if tuple(H.out[v] for v in order) != want:
             continue
         if not in_neighborhood(H, E):
             return H

@@ -8,10 +8,11 @@ root-count pruning; it serves three callers:
 
 * ``enumerate_forests`` and ``count_forests`` walk every forest;
 * ``all_minimal_forests`` runs one branch-and-bound search per level k
-  on integer-scaled weights.  A branch is cut when its weight plus a
-  lower bound on the arcs still to come exceeds the best k-forest found
-  so far.  The cut is strict, so every forest that ties the optimum is
-  still reached.
+  on integer-scaled weights, from k = N down to 1.  A branch is cut when
+  its weight plus a lower bound on the arcs still to come exceeds the
+  best k-forest found so far, or at first the lightest one-arc extension
+  of a tied (k+1)-forest.  The cut is strict, so every forest that ties
+  the optimum is still reached.
 
 Both walks visit forests in canonical order, so tie sets come out
 canonically ordered without sorting.  The enumeration cap keeps
@@ -25,7 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .graph import INF, Digraph, Forest, IntArcs, Weight, _ValueRecord
+from .graph import (INF, Digraph, Forest, IntArcs, Weight, _root_walk,
+                    _ValueRecord)
 
 DEFAULT_CAP = 14
 
@@ -107,14 +109,15 @@ def _search(arcs: IntArcs, k: Optional[int],
     branch-and-bound: ``visit`` returns the incumbent weight, and a
     branch whose weight plus the bound on its remaining arcs exceeds the
     incumbent is cut.  Branches that can still tie it are kept.  A
-    starting ``incumbent`` makes the cut hold from the first node; it
-    must not exceed the total weight, or unreachable branches survive.
+    starting ``incumbent`` makes the cut hold from the first node.
     """
     n = len(arcs)
     out: list[Optional[int]] = [None] * n
-    # no forest weighs more, so unreachable branches are cut even
-    # before the first forest is found
-    limit = _total_weight(arcs) if incumbent is None else incumbent
+    # no forest weighs more than the total, so capping there cuts the
+    # unreachable branches even before the first forest is found
+    limit = _total_weight(arcs)
+    if incumbent is not None:
+        limit = min(limit, incumbent)
 
     def creates_contour(v: int, t: int) -> bool:
         # out[v] is still None here, so the walk below terminates
@@ -221,14 +224,22 @@ class PhiSequence(_ValueRecord):
 
 
 def all_minimal_forests(graph: Digraph, cap: int = DEFAULT_CAP) -> dict[int, MinForestSet]:
-    """Minimum-weight tie sets for every k, one bounded search per level."""
+    """Minimum-weight tie sets for every k, one bounded search per level,
+    warm-started from the level above; keys ascend."""
     _check_cap(graph, cap)
     scale, arcs = graph._integer_arcs
     lower = _lower_bounds(arcs)
     result = {}
-    for k in range(1, graph.n + 1):
-        best: Optional[int] = None
-        ties: list[tuple[Optional[int], ...]] = []
+    best: Optional[int] = None
+    ties: list[tuple[Optional[int], ...]] = []
+    for k in range(graph.n, 0, -1):
+        # one of the first tied (k+1)-forests plus an arc from a root r
+        # out of r's tree is a k-forest; level N has none above
+        steps = [w for out in ties[:3] for root in (_root_walk(out),)
+                 for r, t in enumerate(out) if t is None
+                 for head, w in arcs[r] if root[head] != r]
+        warm = best + min(steps) if steps else None
+        best, ties = None, []
 
         def visit(out, roots, weight):
             nonlocal best, ties
@@ -238,11 +249,13 @@ def all_minimal_forests(graph: Digraph, cap: int = DEFAULT_CAP) -> dict[int, Min
                 ties.append(tuple(out))
             return best
 
-        _search(arcs, k, visit, lower)
+        _search(arcs, k, visit, lower, warm)
+        if best is None and warm is not None:
+            raise InvariantError(f"level {k}: no forest weighs {warm} or less")
         result[k] = (MinForestSet(k, INF, ()) if best is None else
                      MinForestSet(k, Fraction(best, scale),
                                   tuple(Forest(graph, o) for o in ties)))
-    return result
+    return dict(sorted(result.items()))
 
 
 def convexity_profile(phi: PhiSequence) -> tuple[str, ...]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .analysis import Analysis
@@ -183,8 +184,42 @@ def analysis_document(analysis: Analysis,
 
 
 def dump_document(doc: dict) -> str:
-    """Deterministic JSON text: sorted keys, stable separators."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text, byte for byte ``json.dumps(doc,
+    sort_keys=True, indent=2) + "\\n"``, written directly; any value but
+    a str-keyed dict, list, tuple, str, int, bool or None raises TypeError."""
+    parts: list[str] = []
+    _write_json(doc, "", "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, prefix: str, indent: str, parts: list[str]) -> None:
+    """Append ``value``, led by ``prefix``, to ``parts``; ``indent`` is
+    the newline and indentation of the line that ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(prefix + _quote(value))
+    elif value is None or value is True or value is False:
+        parts.append(prefix + ("null" if value is None else
+                               "true" if value else "false"))
+    elif isinstance(value, int):
+        parts.append(prefix + int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = prefix + "{" + inner
+        for key in sorted(value):
+            _write_json(value[key], sep + _quote(key) + ": ", inner, parts)
+            sep = "," + inner
+        parts.append(indent + "}" if value else prefix + "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        sep = prefix + "[" + inner
+        for item in value:
+            _write_json(item, sep, inner, parts)
+            sep = "," + inner
+        parts.append(indent + "]" if value else prefix + "[]")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_document(path: str) -> dict:

@@ -26,6 +26,21 @@ WOODY_ARCS = [
 # on the atom {c, d}.
 SHARP_EDGES = "b d 2\nc b 2\nd a 2\nd c 1\n"
 
+# Trial 476 of the seed-42 acceptance ensemble (N = 7, 8 arcs, v5
+# isolated), the sparsest trial where the claim stops: at the strict
+# level k = 4 the unique minimal 2-forest is not a tree on the atom
+# {v0, v1, v3, v6}.
+TRIAL_476_EDGES = """v5
+v0 v2 5
+v0 v3 3
+v1 v6 1
+v3 v1 3
+v4 v0 5
+v4 v1 5
+v6 v3 5
+v6 v4 4
+"""
+
 
 @pytest.fixture(scope="session")
 def g_ato() -> Digraph:

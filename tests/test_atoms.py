@@ -7,12 +7,12 @@ import pytest
 from forest_atoms import (Analysis, Digraph, InfeasibleLevel, InputError,
                           algebra_contains, algebra_elements, atoms,
                           detach_incoming, find_shielded_forest,
-                          in_neighborhood, is_symmetric, measure, restrict,
-                          symmetrize, verify)
+                          in_neighborhood, is_symmetric, measure,
+                          parse_edge_list, restrict, symmetrize, verify)
 from forest_atoms.atoms import undirected_check
 from forest_atoms.enumeration import MinForestSet
 from forest_atoms.verification import VERIFIED
-from tests.conftest import random_graph
+from tests.conftest import TRIAL_476_EDGES, random_graph
 
 
 def _atom_names(g, fam):
@@ -158,24 +158,50 @@ def test_undirected_all_atoms_labeled():
                 assert all(an.family(k).labeled)
 
 
-def test_restriction_theorem_stops_at_k_minus_2(g_sharp):
-    """The paper's second claim on its least witness: at k = 3, T5 and T6
-    hold (minimal 3- and 2-forests are trees on every atom), while the
-    minimal 1-forest restricts to the atom {c, d} as two components."""
-    an = Analysis.compute(g_sharp)
-    assert an.strict(3)
-    fam = an.family(3)
-    assert _atom_names(g_sharp, fam) == [{"a"}, {"b"}, {"c", "d"}]
-    for k in (3, 2):
-        assert an.minimal[k].forests
-        for F in an.minimal[k].forests:
+def _stops_at_k_minus_2(g, k, atom_names, failing_arcs):
+    """T5 and T6 hold at the strict level k: every minimal k- and
+    (k-1)-forest is a tree on every atom, and the battery finds no
+    counterexample.  The unique minimal (k-2)-forest has the arcs
+    ``failing_arcs`` and is not a tree on the atom ``atom_names``."""
+    an = Analysis.compute(g)
+    assert an.strict(k)
+    fam = an.family(k)
+    for j in (k, k - 1):
+        assert an.minimal[j].forests
+        for F in an.minimal[j].forests:
             assert all(restrict(F, atom).is_tree() for atom in fam.atoms)
-    (F1,) = an.minimal[1].forests
-    assert sorted(F1.arc_names()) == [("b", "d"), ("c", "b"), ("d", "a")]
-    c, d = g_sharp.index("c"), g_sharp.index("d")
-    assert restrict(F1, frozenset({c, d})).component_sets() == (
-        frozenset({c}), frozenset({d}))
+    (F,) = an.minimal[k - 2].forests
+    assert sorted(F.arc_names()) == failing_arcs
+    atom = g.vset(atom_names)
+    assert atom in fam.atoms
+    assert not restrict(F, atom).is_tree()
     report = verify(an)
     assert report.counterexamples == []
     assert report.statements["T5"].status == VERIFIED
     assert report.statements["T6"].status == VERIFIED
+    return fam, F
+
+
+def test_restriction_theorem_stops_at_k_minus_2(g_sharp):
+    """The paper's second claim on its least witness: at k = 3, T5 and T6
+    hold (minimal 3- and 2-forests are trees on every atom), while the
+    minimal 1-forest restricts to the atom {c, d} as two components."""
+    fam, F1 = _stops_at_k_minus_2(g_sharp, 3, "cd",
+                                  [("b", "d"), ("c", "b"), ("d", "a")])
+    assert _atom_names(g_sharp, fam) == [{"a"}, {"b"}, {"c", "d"}]
+    c, d = g_sharp.index("c"), g_sharp.index("d")
+    assert restrict(F1, frozenset({c, d})).component_sets() == (
+        frozenset({c}), frozenset({d}))
+
+
+def test_restriction_theorem_stops_on_trial_476():
+    """The second claim on the sparsest acceptance trial that shows it:
+    T5 and T6 hold at the strict level k = 4, and the unique minimal
+    2-forest is not a tree on the atom {v0, v1, v3, v6}."""
+    g = parse_edge_list(TRIAL_476_EDGES)
+    assert (g.n, len(g.arcs)) == (7, 8)
+    fam, _ = _stops_at_k_minus_2(
+        g, 4, ["v0", "v1", "v3", "v6"],
+        [("v0", "v2"), ("v1", "v6"), ("v3", "v1"), ("v4", "v0"),
+         ("v6", "v4")])
+    assert fam.labeled == (True, True, True, True)

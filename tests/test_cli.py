@@ -68,7 +68,7 @@ def test_atoms(ato_file, capsys):
 def test_invariant_failure_exits_one(ato_file, capsys, monkeypatch):
     # the package's atoms() function shadows the module of the same name
     atoms_mod = importlib.import_module("forest_atoms.atoms")
-    monkeypatch.setattr(atoms_mod, "_refine", lambda partition, blocks: partition)
+    monkeypatch.setattr(atoms_mod, "_split", lambda classes, root: classes)
     assert main(["atoms", ato_file, "--k", "2"]) == 1
     err = capsys.readouterr().err
     assert err == "error: invariant failed: atom split by a generator tree\n"
@@ -193,6 +193,12 @@ def test_verify_replay(ato_file, tmp_path, capsys):
     tampered["phi"][1] = "8"
     doc_path.write_text(json.dumps(tampered, sort_keys=True, indent=2) + "\n")
     assert main(["verify", "--replay", str(doc_path)]) == 1
+    # so does one holding a float, which no document holds
+    tampered["phi"][1] = 7.0
+    doc_path.write_text(json.dumps(tampered))
+    capsys.readouterr()
+    assert main(["verify", "--replay", str(doc_path)]) == 1
+    assert "replay mismatch" in capsys.readouterr().out
 
 
 def test_hierarchy(ato_file, capsys):

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from forest_atoms import (INF, Analysis, CapExceeded, Digraph, Forest,
                           InvariantError, MinForestSet, PhiSequence,
                           all_minimal_forests, convexity_profile,
-                          count_forests, enumerate_forests)
+                          count_forests, enumerate_forests, parse_edge_list)
+from forest_atoms import enumeration
+from forest_atoms.enumeration import _lower_bounds, _search
 from tests.conftest import random_graph, signed_graphs
 
 
@@ -73,6 +75,53 @@ def test_minimal_sets_match_brute_force(seed):
 @given(signed_graphs(max_arcs=9))  # keeps the arc-subset oracle small
 def test_minimal_sets_match_brute_force_signed(g):
     assert_matches_brute_force(g)
+
+
+def test_warm_start_negative_weight():
+    # level 1 starts warm from the empty 2-forest: phi^2 + w(v0, v1) = -1
+    # is below 0, the weight a cold search starts from
+    g = parse_edge_list("v0 v1 -1\n")
+    mine = all_minimal_forests(g)
+    assert list(mine) == [1, 2]
+    assert mine[1].weight == -1
+    assert [F.out for F in mine[1].forests] == [(1, None)]
+    assert mine[2].weight == 0
+    assert [F.out for F in mine[2].forests] == [(None, None)]
+    assert_matches_brute_force(g)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_cut_is_exact(seed):
+    # started at phi^k the search reaches exactly the tie set; one unit
+    # below it (on the scaled integers), it reaches no forest at all
+    g = random_graph(seed + 700, n_max=6, wmax=3)
+    scale, arcs = g._integer_arcs
+    lower = _lower_bounds(arcs)
+    for k, tilde in all_minimal_forests(g).items():
+        if not tilde.forests:
+            continue
+        phi = int(tilde.weight * scale)
+        for incumbent, expect in ((phi, [F.out for F in tilde.forests]),
+                                  (phi - 1, [])):
+            found = []
+            _search(arcs, k, lambda out, roots, w: found.append(tuple(out))
+                    or incumbent, lower, incumbent)
+            assert found == expect
+
+
+def test_warm_bound_below_phi_raises(g_ato, monkeypatch):
+    # negative control: a warm incumbent one unit too low leaves level 3
+    # of ATO (phi^3 = 1, warm from the empty 4-forest) without a forest
+    search = enumeration._search
+
+    def lowered(arcs, k, visit, lower=None, incumbent=None):
+        if incumbent is not None:
+            incumbent -= 1
+        return search(arcs, k, visit, lower, incumbent)
+
+    monkeypatch.setattr(enumeration, "_search", lowered)
+    with pytest.raises(InvariantError, match="level 3"):
+        all_minimal_forests(g_ato)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -182,18 +231,29 @@ an = Analysis.compute(ato)
 
 
 def unrefined_atoms():
-    refine = atoms_mod._refine
-    atoms_mod._refine = lambda partition, blocks: partition
+    split = atoms_mod._split
+    atoms_mod._split = lambda classes, root: classes
     try:
         atoms(ato, 2, an.minimal[2])
     finally:
-        atoms_mod._refine = refine
+        atoms_mod._split = split
 
 
 def wrong_phi_measure():
     tilde = an.minimal[2]
     measure(ato, 2, MinForestSet(2, tilde.weight + 1, tilde.forests),
             an.family(2))
+
+
+def lowered_warm_bound():
+    enum_mod = importlib.import_module("forest_atoms.enumeration")
+    search = enum_mod._search
+    enum_mod._search = lambda arcs, k, visit, lower, incumbent=None: search(
+        arcs, k, visit, lower, None if incumbent is None else incumbent - 1)
+    try:
+        Analysis.compute(ato)
+    finally:
+        enum_mod._search = search
 
 
 def unnested_hierarchy():
@@ -213,6 +273,7 @@ cases = {
     "gap": lambda: PhiSequence((INF, INF, 0)).gap(1),
     "atom split": unrefined_atoms,
     "measure sum": wrong_phi_measure,
+    "warm bound": lowered_warm_bound,
     "nesting": unnested_hierarchy,
     "gap order": unordered_gaps,
 }
@@ -234,7 +295,7 @@ def test_invariants_survive_optimize_flag():
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "phi^N raised", "gap raised", "atom split raised", "measure sum raised",
-        "nesting raised", "gap order raised"]
+        "warm bound raised", "nesting raised", "gap order raised"]
 
 
 def test_package_has_no_assert():

@@ -1,18 +1,30 @@
 """Edge-list parsing, analysis documents, DOT emission."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forest_atoms import (Analysis, ParseError, analysis_document,
-                          build_hierarchy, dump_document, parse_edge_list,
-                          to_dot)
+from forest_atoms import (Analysis, Digraph, ParseError, analysis_document,
+                          build_hierarchy, cli, corrupted_verify,
+                          dump_document, parse_edge_list, to_dot, verify)
 from forest_atoms.io import (format_edge_list, graph_from_json, graph_json,
                              hierarchy_dot, load_document, weight_from_json,
                              weight_to_json)
+from forest_atoms.campaign import (EnsembleSpec, random_digraph, run_campaign,
+                                   trial_seed)
 from forest_atoms.graph import INF, InputError
-from tests.conftest import ATO_ARCS
+from tests.conftest import ATO_ARCS, SHARP_EDGES, WOODY_ARCS
+
+# sha256 over the dumped analysis documents, with hierarchy, of ATO, WOODY,
+# SHARP_EDGES and the first 60 seed-42 acceptance graphs: pins phi, every
+# tie set in canonical order, atoms, labels, the measure with per_forest
+# and the hierarchy, byte for byte
+ANALYSIS_DIGEST = "8c28dfd7788c8630ac6bab571d7788387f76b13a3c8142a0cb60c8413874223d"
 
 
 def test_parse_basic():
@@ -95,3 +107,65 @@ def test_dot_output(g_ato, an_ato):
     assert '"b" -> "a" [label="1"];' in dot
     full = hierarchy_dot(an_ato, build_hierarchy(an_ato))
     assert full.count("digraph") == 4
+
+
+def _pinned_graphs():
+    spec = EnsembleSpec(trials=60, seed=42)
+    yield Digraph.from_arcs(ATO_ARCS)
+    yield Digraph.from_arcs(WOODY_ARCS)
+    yield parse_edge_list(SHARP_EDGES)
+    for i in range(spec.trials):
+        yield random_digraph(random.Random(trial_seed(spec.seed, i)), spec)
+
+
+def test_analysis_documents_pinned():
+    h = hashlib.sha256()
+    for g in _pinned_graphs():
+        an = Analysis.compute(g)
+        h.update(dump_document(
+            analysis_document(an, build_hierarchy(an))).encode())
+    assert h.hexdigest() == ANALYSIS_DIGEST
+
+
+def _reference_dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_matches_json_dumps_on_documents(an_woody, g_woody, tmp_path):
+    documents = [
+        analysis_document(an_woody),
+        analysis_document(an_woody, build_hierarchy(an_woody),
+                          verify(an_woody).to_dict()),
+        run_campaign(EnsembleSpec(trials=6, seed=42, n_max=5)),
+    ]
+    for doc in documents:
+        assert dump_document(doc) == _reference_dump(doc)
+    report = corrupted_verify(g_woody, 3)
+    witnesses = [report.statements[s].witness for s in report.counterexamples]
+    assert witnesses
+    path = tmp_path / "w.json"
+    cli._write_witnesses(str(path), witnesses)
+    assert path.read_text() == _reference_dump(
+        {"schema_version": 1, "witnesses": witnesses})
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+def test_writer_matches_json_dumps_on_trees(doc):
+    assert dump_document(doc) == _reference_dump(doc)
+
+
+@pytest.mark.parametrize("bad", [1.5, float("inf"), {1, 2}, frozenset(),
+                                 Fraction(1, 2)])
+def test_writer_rejects_other_types(bad):
+    for doc in (bad, {"x": bad}, {"x": [0, [bad]]}):
+        with pytest.raises(TypeError):
+            dump_document(doc)
